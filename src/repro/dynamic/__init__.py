@@ -13,8 +13,8 @@ epochs** without from-scratch preprocessing:
   repair orchestrator (CH, hub labels, TNR, plain weight views) with a
   from-scratch comparator for the differential correctness suite.
 
-The serving integration (atomic epoch swap between micro-batches) lives
-in :mod:`repro.serve.service`.
+The serving integration (a background repair thread, then an atomic
+epoch flip between micro-batches) lives in :mod:`repro.serve.service`.
 """
 
 from repro.dynamic.cch import CCHScaffold
@@ -24,6 +24,7 @@ from repro.dynamic.epochs import (
     changed_endpoints,
     next_epoch,
     reweight_graph,
+    validate_batch,
 )
 from repro.dynamic.repair import (
     REPAIRABLE,
@@ -43,4 +44,5 @@ __all__ = [
     "changed_endpoints",
     "next_epoch",
     "reweight_graph",
+    "validate_batch",
 ]

@@ -77,6 +77,33 @@ def arc_ids(csr: CSRGraph, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     return out
 
 
+def validate_batch(
+    csr: CSRGraph,
+    edges: Sequence[tuple[int, int]],
+    new_weights: Sequence[float],
+) -> np.ndarray:
+    """Check one update batch against the topology; returns its arc ids.
+
+    Raises ``ValueError`` for a length mismatch or a weight that is not
+    positive and finite (what :meth:`~repro.graph.graph.Graph.add_edge`
+    demands at build time) and ``KeyError`` for an out-of-range vertex
+    or a non-edge (see :func:`arc_ids`). Only the topology is consulted,
+    so any epoch's ``csr`` gives the same verdict — which lets
+    :meth:`repro.serve.QueryService.apply_updates` reject a bad batch at
+    the call site, before anything is queued for the repair thread.
+    """
+    if len(edges) != len(new_weights):
+        raise ValueError("edges and new_weights must have equal length")
+    pos = arc_ids(csr, edges)
+    for (u, v), w in zip(edges, new_weights):
+        w = float(w)
+        if not (w > 0.0 and math.isfinite(w)):
+            raise ValueError(
+                f"edge ({u}, {v}): weight must be positive and finite, got {w}"
+            )
+    return pos
+
+
 def next_epoch(
     prev: WeightEpoch,
     edges: Sequence[tuple[int, int]],
@@ -87,19 +114,10 @@ def next_epoch(
     ``changed_arc_ids`` holds the directed-arc positions whose weight
     actually moved (an "update" to the current weight is a no-op and is
     excluded), sorted ascending — the seed set for every incremental
-    repair. Weights must be positive and finite, like
-    :meth:`~repro.graph.graph.Graph.add_edge` demands at build time.
+    repair. The batch is checked by :func:`validate_batch` first.
     """
-    if len(edges) != len(new_weights):
-        raise ValueError("edges and new_weights must have equal length")
-    pos = arc_ids(prev.csr, edges)
+    pos = validate_batch(prev.csr, edges, new_weights)
     weights = prev.csr.weights.copy()
-    for (u, v), w in zip(edges, new_weights):
-        w = float(w)
-        if not (w > 0.0 and math.isfinite(w)):
-            raise ValueError(
-                f"edge ({u}, {v}): weight must be positive and finite, got {w}"
-            )
     weights[pos[:, 0]] = np.asarray(new_weights, dtype=np.float64)
     weights[pos[:, 1]] = np.asarray(new_weights, dtype=np.float64)
     changed = np.nonzero(weights != prev.csr.weights)[0]

@@ -77,17 +77,33 @@ def _now_us() -> float:
 
 @dataclass
 class RepairReport:
-    """What one :meth:`DynamicState.apply_updates` call did, and how fast."""
+    """What one :meth:`DynamicState.apply_updates` call did, and how fast.
+
+    :meth:`repro.serve.QueryService.apply_updates` hands its caller the
+    report *before* the repair has run: ``live`` is False and only
+    ``epoch`` / ``changed_edges`` are meaningful until the serving loop
+    flips the epoch live and fills the same object in (or sets
+    ``error``). A report returned by :class:`DynamicState` itself is
+    complete on return.
+    """
 
     epoch: int
     changed_edges: int
-    changed_arcs: int
+    changed_arcs: int = 0
     repair_us: dict[str, float] = field(default_factory=dict)
     full_rebuild: dict[str, bool] = field(default_factory=dict)
     ch_changed_arcs: int = 0
     labels_dirty: int = 0
     tnr_dirty_cells: int = 0
     tnr_dirty_transit: int = 0
+    #: The epoch is what queries are answered on.
+    live: bool = True
+    #: What stopped a served update from ever going live.
+    error: BaseException | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 # ----------------------------------------------------------------------
@@ -290,19 +306,23 @@ class DynamicState:
     def _dirty_vertices(self, changed_up_arcs: np.ndarray) -> np.ndarray:
         """Vertices whose upward search space consults a changed arc:
         everything that reaches a changed arc's tail in the up-graph
-        (BFS over the reversed topology)."""
-        n = self.scaffold.n
-        seen = np.zeros(n, dtype=bool)
-        stack = np.unique(self.scaffold.tails[changed_up_arcs]).tolist()
-        for v in stack:
-            seen[v] = True
+        (BFS over the reversed topology, one frontier per NumPy step —
+        the service runs this beside its serving loop, so it must not
+        sit in a Python loop holding the interpreter lock)."""
+        seen = np.zeros(self.scaffold.n, dtype=bool)
+        frontier = np.unique(self.scaffold.tails[changed_up_arcs])
         rev_indptr, rev_tails = self._rev_indptr, self._rev_tails
-        while stack:
-            x = stack.pop()
-            for t in rev_tails[rev_indptr[x] : rev_indptr[x + 1]].tolist():
-                if not seen[t]:
-                    seen[t] = True
-                    stack.append(t)
+        while len(frontier):
+            seen[frontier] = True
+            starts = rev_indptr[frontier]
+            counts = rev_indptr[frontier + 1] - starts
+            ends = np.cumsum(counts)
+            # Positions of every in-arc of the frontier, row by row.
+            flat = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(
+                starts - (ends - counts), counts
+            )
+            reached = rev_tails[flat]
+            frontier = np.unique(reached[~seen[reached]])
         return np.nonzero(seen)[0]
 
     # ------------------------------------------------------------------
@@ -336,21 +356,19 @@ class DynamicState:
         # middle can also flip while the value holds (the base arc
         # overtakes a tied triangle or vice versa), which matters only
         # to path unpacking — i.e. to the export.
-        changed_up = np.nonzero(self.scaffold.w != w_prev)[0]
-        changed_export = np.nonzero(
-            (self.scaffold.w != w_prev) | (self.scaffold.mid != mid_prev)
-        )[0]
+        moved = self.scaffold.w != w_prev
+        changed_up = np.nonzero(moved)[0]
+        changed_export = np.nonzero(moved | (self.scaffold.mid != mid_prev))[0]
+        # The previous epoch's copies are spent: free them before the
+        # export and the label rows allocate theirs.
+        del w_prev, mid_prev, moved
         index = self.scaffold.export_index(self.ch.index, changed_export)
         self.ch = ContractionHierarchy(self.graph, index)
         report.repair_us["ch"] = _now_us() - t0
         report.full_rebuild["ch"] = not incremental
         report.ch_changed_arcs = len(changed_up)
 
-        dirty = (
-            self._dirty_vertices(changed_up)
-            if len(changed_up)
-            else np.empty(0, dtype=np.int64)
-        )
+        dirty = self._dirty_vertices(changed_up)
         if self.labels is not None:
             t0 = _now_us()
             self._repair_labels(dirty, report)

@@ -43,6 +43,7 @@ pulling in numpy/scipy or the rest of the package.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Any
 
@@ -103,11 +104,28 @@ def _env_truthy(name: str) -> bool:
 ENABLED: bool = _env_truthy("REPRO_OBS") or bool(os.environ.get("REPRO_TRACE"))
 
 _registry = MetricsRegistry()
+# A pool worker forked while another thread is registering an instrument
+# would inherit the creation lock held, with nobody left to release it.
+os.register_at_fork(after_in_child=_registry.reinit_lock)
 _trace: TraceWriter | None = None
 
-#: Stack of active span names in this process (spans are emitted from
-#: the single-threaded core; worker processes carry their own stack).
-_span_stack: list[str] = []
+
+
+class _SpanStack(threading.local):
+    """Active span names of the *calling thread*.
+
+    Per thread, not per process: the service's repair thread opens
+    ``serve.repair`` / ``labels.*`` / ``ch.*`` spans while the serving
+    thread opens its own, and a shared stack would splice one thread's
+    names into the other's ``span.path``. Worker processes carry their
+    own stacks as before.
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+
+
+_spans = _SpanStack()
 
 
 def enabled() -> bool:
@@ -126,9 +144,10 @@ def registry() -> MetricsRegistry:
 
 
 def reset() -> None:
-    """Clear every instrument and drop any active span nesting (tests)."""
+    """Clear every instrument and drop the calling thread's span nesting
+    (tests)."""
     _registry.reset()
-    _span_stack.clear()
+    _spans.names.clear()
 
 
 # ----------------------------------------------------------------------
@@ -141,8 +160,9 @@ class _Span:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        _span_stack.append(name)
-        self.path = "/".join(_span_stack)
+        stack = _spans.names
+        stack.append(name)
+        self.path = "/".join(stack)
         self._start = time.perf_counter()
 
     def __enter__(self) -> "_Span":
@@ -150,8 +170,9 @@ class _Span:
 
     def __exit__(self, *exc: Any) -> None:
         dur_us = (time.perf_counter() - self._start) * 1e6
-        if _span_stack and _span_stack[-1] == self.name:
-            _span_stack.pop()
+        stack = _spans.names
+        if stack and stack[-1] == self.name:
+            stack.pop()
         _registry.histogram(f"span.{self.name}").observe(dur_us)
         if _trace is not None:
             _trace.event(

@@ -28,6 +28,7 @@ without dragging in numpy/scipy (or the rest of the package).
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from typing import Iterator
 
@@ -235,6 +236,13 @@ class MetricsRegistry:
 
     Names are dotted paths (``tnr.locality.table_hits``); the renderers
     sort by name so related instruments group naturally.
+
+    Threads: *creating* an instrument (and installing or resetting the
+    mirror, which allocates plane rows) is serialised by a lock, so two
+    threads may register names concurrently; the hit path stays a bare
+    dict lookup. Writes to one instrument are not atomic — each
+    instrument has one writing thread (the service's repair thread owns
+    ``dynamic.*`` and its spans, the serving thread owns ``serve.*``).
     """
 
     def __init__(self) -> None:
@@ -242,33 +250,51 @@ class MetricsRegistry:
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
         self._mirror = None
+        self._lock = threading.Lock()
 
     # -- instrument accessors (create-or-get) ---------------------------
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
         if c is None:
-            c = self.counters[name] = Counter()
-            if self._mirror is not None:
-                c.mirror = self._mirror.attach_counter(name, 0)
+            with self._lock:
+                c = self.counters.get(name)
+                if c is None:
+                    c = Counter()
+                    if self._mirror is not None:
+                        c.mirror = self._mirror.attach_counter(name, 0)
+                    self.counters[name] = c
         return c
 
     def gauge(self, name: str) -> Gauge:
         g = self.gauges.get(name)
         if g is None:
-            g = self.gauges[name] = Gauge()
-            if self._mirror is not None:
-                g.mirror = self._mirror.attach_gauge(name, 0.0)
+            with self._lock:
+                g = self.gauges.get(name)
+                if g is None:
+                    g = Gauge()
+                    if self._mirror is not None:
+                        g.mirror = self._mirror.attach_gauge(name, 0.0)
+                    self.gauges[name] = g
         return g
 
     def histogram(self, name: str) -> Histogram:
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = Histogram()
-            if self._mirror is not None:
-                h.mirror_counts, h.mirror_stats = (
-                    self._mirror.attach_histogram(name, h)
-                )
+            with self._lock:
+                h = self.histograms.get(name)
+                if h is None:
+                    h = Histogram()
+                    if self._mirror is not None:
+                        h.mirror_counts, h.mirror_stats = (
+                            self._mirror.attach_histogram(name, h)
+                        )
+                    self.histograms[name] = h
         return h
+
+    def reinit_lock(self) -> None:
+        """Fresh creation lock — for a forked child, whose copy may have
+        been held by a parent thread that does not exist on this side."""
+        self._lock = threading.Lock()
 
     # -- shared-memory mirroring -----------------------------------------
     def set_mirror(self, mirror) -> None:
@@ -282,25 +308,26 @@ class MetricsRegistry:
         plane. Existing instruments are re-attached immediately;
         instruments created later attach on creation.
         """
-        self._mirror = mirror
-        for name, c in self.counters.items():
-            c.mirror = (
-                mirror.attach_counter(name, c.value)
-                if mirror is not None else None
-            )
-        for name, g in self.gauges.items():
-            g.mirror = (
-                mirror.attach_gauge(name, g.value)
-                if mirror is not None else None
-            )
-        for name, h in self.histograms.items():
-            if mirror is not None:
-                h.mirror_counts, h.mirror_stats = (
-                    mirror.attach_histogram(name, h)
+        with self._lock:
+            self._mirror = mirror
+            for name, c in self.counters.items():
+                c.mirror = (
+                    mirror.attach_counter(name, c.value)
+                    if mirror is not None else None
                 )
-            else:
-                h.mirror_counts = None
-                h.mirror_stats = None
+            for name, g in self.gauges.items():
+                g.mirror = (
+                    mirror.attach_gauge(name, g.value)
+                    if mirror is not None else None
+                )
+            for name, h in self.histograms.items():
+                if mirror is not None:
+                    h.mirror_counts, h.mirror_stats = (
+                        mirror.attach_histogram(name, h)
+                    )
+                else:
+                    h.mirror_counts = None
+                    h.mirror_stats = None
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict into this registry.
@@ -338,11 +365,12 @@ class MetricsRegistry:
         }
 
     def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-        if self._mirror is not None:
-            self._mirror.on_reset()
+        with self._lock:
+            self.counters.clear()
+            self.gauges.clear()
+            self.histograms.clear()
+            if self._mirror is not None:
+                self._mirror.on_reset()
 
     def __len__(self) -> int:
         return len(self.counters) + len(self.gauges) + len(self.histograms)

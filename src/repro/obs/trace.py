@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, TextIO
@@ -37,6 +38,10 @@ class TraceWriter:
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
         self._fh: TextIO | None = open(self.path, "w", encoding="utf-8")
+        # Spans close on more than one thread (the service's repair
+        # thread next to the serving thread); one line per event must
+        # stay one line.
+        self._lock = threading.Lock()
         self.event(
             {
                 "t": "header",
@@ -53,18 +58,21 @@ class TraceWriter:
     def event(self, record: dict) -> None:
         """Write one event (ignored after close); flushed per line so a
         crash loses at most the line being written."""
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._fh.flush()
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+        with self._lock:
+            if self._fh is None:
+                return
+            self._fh.write(line)
+            self._fh.flush()
 
     def close(self, snapshot: dict | None = None) -> None:
         if self._fh is None:
             return
         if snapshot is not None:
             self.event({"t": "metrics", "snapshot": snapshot})
-        self._fh.close()
-        self._fh = None
+        with self._lock:
+            self._fh.close()
+            self._fh = None
 
 
 def read_trace(path: str | os.PathLike) -> list[dict]:

@@ -251,8 +251,9 @@ class BatchingScheduler:
         #: Last-N terminal request records (always on).
         self.flight = FlightRecorder()
         #: Current weight epoch; bumped by the service *after* a drain +
-        #: worker flip, so every admitted request is answered at its
-        #: admission epoch (audited per reply below).
+        #: worker flip (both on the thread that pumps this scheduler),
+        #: so every admitted request is answered at its admission epoch
+        #: (audited per reply below).
         self.epoch = 0
         # Stats (mirrored into obs counters when enabled).
         self.dispatched_batches = 0
@@ -578,10 +579,15 @@ class BatchingScheduler:
             )
 
     # ------------------------------------------------------------------
-    def drain(self, timeout_s: float = 60.0) -> None:
-        """Flush everything and wait for all in-flight work to resolve."""
+    def drain(self, timeout_s: float = 60.0) -> int:
+        """Flush everything and wait for all in-flight work to resolve.
+
+        Returns the number of requests resolved meanwhile, counted like
+        :meth:`pump` counts them.
+        """
         for technique in list(self._queues):
             self._flush_technique(technique)
+        resolved = 0
         deadline = time.monotonic() + timeout_s
         while self._inflight or self._blocked:
             remaining = deadline - time.monotonic()
@@ -591,7 +597,8 @@ class BatchingScheduler:
                     f"({len(self._blocked)} ring-blocked) after "
                     f"{timeout_s:.0f}s"
                 )
-            self._collect(min(remaining, 0.25))
+            resolved += self._collect(min(remaining, 0.25))
+        return resolved
 
     def stats(self) -> dict[str, int]:
         return {

@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Sequence
 
@@ -389,6 +390,16 @@ def pack_labels(index) -> tuple[dict[str, np.ndarray], dict]:
 # ----------------------------------------------------------------------
 # Publisher
 # ----------------------------------------------------------------------
+@dataclass
+class StagedEpoch:
+    """A weight epoch written to shared memory but not yet served."""
+
+    segments: dict[str, shared_memory.SharedMemory]
+    #: The manifest's ``techniques`` section once this epoch is live.
+    techniques: dict[str, dict]
+    fingerprint: GraphFingerprint
+
+
 class SegmentSet:
     """Owner of one service's published segments.
 
@@ -430,7 +441,7 @@ class SegmentSet:
 
         On failure, unlinks whatever it already created and re-raises —
         it never touches segments it did not create, so a failed
-        :meth:`republish` leaves the live epoch serving.
+        :meth:`stage` leaves the live epoch serving.
         """
         segments: dict[str, shared_memory.SharedMemory] = {}
         techniques: dict[str, dict] = {}
@@ -462,35 +473,48 @@ class SegmentSet:
             raise
         return segments, techniques
 
-    def republish(
+    def stage(
         self,
         payloads: dict[str, tuple[dict[str, np.ndarray], dict]],
         *,
         fingerprint: GraphFingerprint,
-    ) -> dict[str, shared_memory.SharedMemory]:
-        """Publish a new weight epoch's segments *side by side*.
+    ) -> "StagedEpoch":
+        """Write a new weight epoch's segments *side by side*.
 
         The new segments are named ``rsv-<token>-e<epoch>-<tech>`` so
-        they coexist with the epoch still being served; the manifest
-        (the same dict object workers and the pool hold) is updated in
-        place to point at them. Returns the previous epoch's segments —
-        the caller unlinks them via :func:`release_segments` only after
-        every worker has flipped and every in-flight batch on the old
-        epoch has drained.
+        they coexist with the epoch still being served. Nothing the
+        serving side reads is touched — not the manifest, not the live
+        segments — so this may run on another thread while queries are
+        being answered. The result goes live through :meth:`flip`; a
+        staged epoch that never will must be handed to
+        :func:`release_segments` (``staged.segments``).
         """
         if set(payloads) != set(self._segments):
             raise SegmentError(
-                "republish must cover exactly the published techniques "
+                "a staged epoch must cover exactly the published techniques "
                 f"({sorted(self._segments)}), got {sorted(payloads)}"
             )
         epoch = fingerprint.epoch
         segments, techniques = self._build(
             payloads, lambda tech: f"rsv-{self._token}-e{epoch}-{tech}"
         )
+        return StagedEpoch(segments, techniques, fingerprint)
+
+    def flip(
+        self, staged: "StagedEpoch"
+    ) -> dict[str, shared_memory.SharedMemory]:
+        """Point the manifest at a staged epoch; returns the old segments.
+
+        The manifest (the same dict object the pool holds and respawned
+        workers fork with) is updated in place. The caller unlinks the
+        returned segments via :func:`release_segments` only after every
+        worker has flipped and every in-flight batch on the old epoch
+        has drained.
+        """
         old = self._segments
-        self._segments = segments
-        self.manifest["techniques"] = techniques
-        self.manifest["fingerprint"] = _fingerprint_entry(fingerprint)
+        self._segments = staged.segments
+        self.manifest["techniques"] = staged.techniques
+        self.manifest["fingerprint"] = _fingerprint_entry(staged.fingerprint)
         return old
 
     @property
@@ -500,8 +524,8 @@ class SegmentSet:
     def close(self) -> None:
         """Unmap and unlink every segment (idempotent).
 
-        Segments are unlinked only here and in the epoch-swap drain
-        (:func:`release_segments` on what :meth:`republish` returned);
+        Segments are unlinked only here and in the epoch flip
+        (:func:`release_segments` on what :meth:`flip` returned);
         either runs fine after worker crashes, since the publisher's
         mappings are untouched by a child dying.
         """

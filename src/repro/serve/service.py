@@ -15,18 +15,28 @@ Lifecycle::
         svc.drain()
         fut.result()  # [d(0,17), d(3,99)]
 
-Shutdown order matters: workers stop first (they unmap), then the
-publisher unlinks the segments. A crashed worker changes nothing — the
-publisher's mappings survive child death, so ``close()`` still frees
-every segment.
+Weight updates (``apply_updates``) run as an epoch pipeline: the call
+only checks and queues the batch; one repair thread owned by the
+service repairs the indexes and writes the next epoch's segments beside
+the live ones; the thread that pumps the service flips a finished epoch
+live between micro-batches (docs/SERVING.md, "Weight epochs").
+
+Shutdown order matters: the repair thread is joined first (it writes
+segments), then workers stop (they unmap), then the publisher unlinks
+the segments. A crashed worker changes nothing — the publisher's
+mappings survive child death, so ``close()`` still frees every segment.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import signal
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Sequence
 
 from repro import obs
@@ -38,11 +48,13 @@ from repro.serve.pool import RingPool, WorkerPool
 from repro.serve.scheduler import BatchingScheduler, QueryFuture
 from repro.serve.segments import (
     SegmentSet,
+    StagedEpoch,
     pack_ch,
     pack_graph,
     pack_labels,
     pack_silc,
     pack_tnr,
+    release_segments,
 )
 
 #: Techniques the service understands. ``pcpd`` is known but has no
@@ -133,6 +145,30 @@ def build_payloads(
     return payloads
 
 
+class _EpochJob:
+    """One accepted weight update on its way to going live.
+
+    Written by the repair thread up to ``ready.set()`` and read by the
+    serving thread only after it — the event is the hand-over.
+    """
+
+    __slots__ = ("report", "edges", "weights", "t_call", "ready", "done",
+                 "staged", "repair_us", "error")
+
+    def __init__(self, report, edges, weights) -> None:
+        #: The caller's handle, completed in place at go-live.
+        self.report = report
+        self.edges = edges
+        self.weights = weights
+        self.t_call = time.perf_counter()
+        self.ready = threading.Event()
+        #: The repair thread's own report (None until repaired).
+        self.done = None
+        self.staged: StagedEpoch | None = None
+        self.repair_us = 0.0
+        self.error: BaseException | None = None
+
+
 class QueryService:
     """Segments + pool + scheduler, assembled and torn down together."""
 
@@ -205,6 +241,14 @@ class QueryService:
         self._prev_usr1 = None
         self._closed = False
         self._dyn = None
+        # The epoch pipeline (apply_updates -> repair thread -> flip on
+        # the serving loop). _pending is touched by the serving thread
+        # only; jobs cross to the repair thread through _jobs and come
+        # back through their ready event.
+        self._pending: deque[_EpochJob] = deque()
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._repairer: threading.Thread | None = None
+        self._repair_failure: BaseException | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -223,8 +267,10 @@ class QueryService:
     def _dynamic_state(self):
         """Build (once) the repairable index state behind this service.
 
-        Constructed lazily on the first :meth:`apply_updates` — a
-        static service never pays for the CCH scaffold. The witness CH
+        Constructed lazily on the first :meth:`apply_updates`, on the
+        calling thread — a static service never pays for the CCH
+        scaffold. From then on only the repair thread touches it. The
+        witness CH
         and TNR grid side come from the same registry builds the
         publisher packed, so epoch 0's repaired indexes answer
         identically to what is already in the segments.
@@ -246,70 +292,226 @@ class QueryService:
         return self._dyn
 
     def apply_updates(self, edges, new_weights):
-        """Advance the served graph one weight epoch without stopping.
+        """Accept one weight-update batch; it goes live in the background.
 
-        The swap protocol (docs/SERVING.md):
+        The call checks the batch, queues it and returns at once — the
+        serving loop keeps admitting, dispatching and scattering on the
+        current epoch while the rest happens (docs/SERVING.md):
 
-        1. **Repair** every published index incrementally
-           (:meth:`repro.dynamic.DynamicState.apply_updates`) while the
-           old epoch keeps serving.
-        2. **Drain** the scheduler — batches in flight complete on the
-           epoch they were admitted under; nothing straddles the flip.
-        3. **Republish**: the new epoch's segments come up side by side
-           with the old ones, and the manifest flips to them in place.
-        4. **Barrier**: every worker drops its old-epoch views,
-           reattaches, and acks; replies are stamped with the epoch
-           they were answered under (the scheduler fails any mismatch).
-        5. **Unlink** the old epoch's segments — no mapping references
-           them once the barrier has passed.
+        1. **Repair** (repair thread): every published index is repaired
+           incrementally (:meth:`repro.dynamic.DynamicState.apply_updates`).
+        2. **Stage** (repair thread): the new epoch's payloads are packed
+           and written into fresh segments, side by side with the ones
+           being served.
+        3. **Flip** (the thread that calls :meth:`pump` / :meth:`drain`
+           / :meth:`wait_live`, at its next call once 1–2 are done):
+           drain the scheduler — batches in flight complete on the epoch
+           they were admitted under — point the manifest at the staged
+           segments, barrier every worker onto them
+           (:meth:`~repro.serve.pool.WorkerPool.flip_epoch`), unlink the
+           old segments, bump the admission epoch.
 
-        Returns the :class:`~repro.dynamic.RepairReport`. Raises
+        Updates go live one epoch per call, in call order, never merged:
+        the ``k``-th accepted call becomes epoch ``k``. Returns that
+        epoch's :class:`~repro.dynamic.RepairReport` with ``live=False``
+        and only ``epoch`` / ``changed_edges`` set; the same object is
+        filled in when the epoch goes live (``live=True``), or gets
+        ``error`` set if it never will. Until then every request is
+        admitted, answered and stamped on the old epoch.
+
+        Raises here, with nothing queued: ``ValueError`` / ``KeyError``
+        for a bad batch (:func:`repro.dynamic.validate_batch`),
         ``ValueError`` if a published technique has no repair path
-        (``silc``'s interval tree is rebuild-only).
+        (``silc``'s interval tree is rebuild-only), ``RuntimeError``
+        once an earlier repair has failed. A failure *inside* the repair
+        is re-raised by the next :meth:`pump` / :meth:`drain` /
+        :meth:`wait_live`; the service keeps answering on the last live
+        epoch.
+
+        The first call is the service's one-time switch to dynamic
+        serving and does block: it builds the repairable state (the CCH
+        scaffold, about a second) and waits for its own epoch to go
+        live, so it returns a completed report.
         """
-        from types import SimpleNamespace
+        from repro.dynamic import REPAIRABLE, RepairReport, validate_batch
 
-        from repro.dynamic import REPAIRABLE
-        from repro.serve.segments import release_segments
-
+        if self._closed:
+            raise RuntimeError("the service is closed")
         unsupported = set(self.published) - set(REPAIRABLE)
         if unsupported:
             raise ValueError(
                 f"technique(s) {sorted(unsupported)} cannot be repaired "
                 f"incrementally (repairable: {list(REPAIRABLE)})"
             )
-        st = self._dynamic_state()
-        with obs.span("serve.repair"):
-            report = st.apply_updates(edges, new_weights)
-        t_swap = time.perf_counter()
-        self.scheduler.drain()
-        payloads: dict = {"dijkstra": pack_graph(st.csr)}
-        if "ch" in self.published:
-            payloads["ch"] = pack_ch(st.ch)
-        if "tnr" in self.published:
-            payloads["tnr"] = pack_tnr(SimpleNamespace(index=st.tnr))
-        if "labels" in self.published:
-            payloads["labels"] = pack_labels(st.labels)
-        old = self.segments.republish(
-            payloads, fingerprint=st.current.fingerprint
+        if self._repair_failure is not None:
+            raise RuntimeError(
+                "an earlier weight update failed in repair; the service "
+                f"stays on epoch {self.epoch} and accepts no more updates"
+            ) from self._repair_failure
+        # Private copies: the caller may reuse its lists once we return.
+        edges = [(int(u), int(v)) for u, v in edges]
+        new_weights = [float(w) for w in new_weights]
+        csr = self.registry.graph(self.config.dataset).csr()
+        validate_batch(csr, edges, new_weights)
+        first = self._dyn is None
+        self._dynamic_state()
+        report = RepairReport(
+            epoch=self.epoch + len(self._pending) + 1,
+            changed_edges=len(edges),
+            live=False,
         )
-        self.pool.flip_epoch()
-        release_segments(old)
-        self.scheduler.epoch = st.epoch
-        swap_us = (time.perf_counter() - t_swap) * 1e6
+        job = _EpochJob(report, edges, new_weights)
+        self._pending.append(job)
+        if self._repairer is None:
+            self._repairer = threading.Thread(
+                target=self._repair_loop, name="repro-serve-repair",
+                daemon=True,
+            )
+            self._repairer.start()
+        self._jobs.put(job)
+        if obs.ENABLED:
+            obs.registry().gauge("serve.updates_pending").set(
+                len(self._pending)
+            )
+        if first:
+            # This call has already held the loop for the scaffold
+            # build: see its epoch live too, so the whole one-time cost
+            # is paid here instead of trickling into the caller's next
+            # second through a repair thread competing for the GIL.
+            self.wait_live()
+        return report
+
+    # -- the repair thread ---------------------------------------------
+    def _repair_loop(self) -> None:
+        """Repair and stage queued updates, strictly in call order.
+
+        After a failure nothing later runs: epoch ``k+1`` is defined on
+        top of epoch ``k``, and a repair that raised may have left the
+        dynamic state half-advanced.
+        """
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            if self._repair_failure is None and not self._closed:
+                try:
+                    self._repair(job)
+                except Exception as exc:  # handed to the serving thread
+                    self._repair_failure = exc
+            job.error = self._repair_failure
+            job.ready.set()
+
+    def _repair(self, job: _EpochJob) -> None:
+        st = self._dyn
+        t0 = time.perf_counter()
+        with obs.span("serve.repair"):
+            done = st.apply_updates(job.edges, job.weights)
+        job.repair_us = (time.perf_counter() - t0) * 1e6
+        if done.epoch != job.report.epoch:
+            raise RuntimeError(
+                f"repair produced epoch {done.epoch} for the update "
+                f"accepted as epoch {job.report.epoch}"
+            )
+        with obs.span("serve.stage_epoch"):
+            payloads: dict = {"dijkstra": pack_graph(st.csr)}
+            if "ch" in self.published:
+                payloads["ch"] = pack_ch(st.ch)
+            if "tnr" in self.published:
+                payloads["tnr"] = pack_tnr(SimpleNamespace(index=st.tnr))
+            if "labels" in self.published:
+                payloads["labels"] = pack_labels(st.labels)
+            job.staged = self.segments.stage(
+                payloads, fingerprint=st.current.fingerprint
+            )
+        job.done = done
+
+    # -- the serving thread's half -------------------------------------
+    def _flip_ready(self) -> int:
+        """Flip every epoch whose repair has finished, oldest first.
+
+        Returns the requests the drains resolved. Re-raises a repair
+        failure (once), after marking that update and every one queued
+        behind it failed.
+        """
+        resolved = 0
+        while self._pending and self._pending[0].ready.is_set():
+            job = self._pending[0]
+            if job.error is not None:
+                for dropped in self._pending:
+                    dropped.report.error = job.error
+                self._pending.clear()
+                if obs.ENABLED:
+                    obs.registry().gauge("serve.updates_pending").set(0)
+                raise job.error
+            resolved += self._go_live(job)
+        return resolved
+
+    def _go_live(self, job: _EpochJob) -> int:
+        t_swap = time.perf_counter()
+        # Everything admitted so far was stamped with the old epoch:
+        # dispatch and finish it there. A drain that times out leaves
+        # the job pending for the next call.
+        resolved = self.scheduler.drain()
+        self._pending.popleft()
+        old = self.segments.flip(job.staged)
+        try:
+            self.pool.flip_epoch()
+        finally:
+            # Unlinking frees the names, not the mappings: a worker that
+            # failed to flip still answers — on the old epoch, which the
+            # scheduler's epoch audit then refuses.
+            release_segments(old)
+        self.scheduler.epoch = job.report.epoch
+        now = time.perf_counter()
+        vars(job.report).update(vars(job.done))
         if obs.ENABLED:
             reg = obs.registry()
-            reg.gauge("serve.epoch").set(st.epoch)
-            reg.histogram("serve.swap_us").observe(swap_us)
-        return report
+            reg.gauge("serve.epoch").set(self.epoch)
+            reg.gauge("serve.updates_pending").set(len(self._pending))
+            reg.histogram("serve.swap_us").observe((now - t_swap) * 1e6)
+            reg.histogram("serve.repair_us").observe(job.repair_us)
+            reg.histogram("serve.update_lag_us").observe(
+                (now - job.t_call) * 1e6
+            )
+        return resolved
+
+    def wait_live(self, timeout_s: float = 60.0) -> int:
+        """Block until every update accepted so far is live.
+
+        Returns the epoch then being served. Raises ``TimeoutError`` if
+        a repair is still running after ``timeout_s``, and re-raises a
+        repair failure like :meth:`pump` does.
+        """
+        deadline = time.monotonic() + timeout_s
+        while self._pending:
+            head = self._pending[0]
+            if not head.ready.wait(max(deadline - time.monotonic(), 0.0)):
+                raise TimeoutError(
+                    f"epoch {head.report.epoch} is still being repaired "
+                    f"after {timeout_s:.0f}s"
+                )
+            self._flip_ready()
+        return self.epoch
 
     def submit(self, technique, pairs, deadline_s=None) -> QueryFuture:
         return self.scheduler.submit(technique, pairs, deadline_s=deadline_s)
 
     def pump(self, block_s: float = 0.0) -> int:
-        return self.scheduler.pump(block_s)
+        """One scheduling step, then flip any epoch that became ready.
+
+        Returns the number of requests resolved, those finished by a
+        flip's drain included.
+        """
+        resolved = self.scheduler.pump(block_s)
+        if self._pending:
+            resolved += self._flip_ready()
+        return resolved
 
     def drain(self, timeout_s: float = 60.0) -> None:
+        """Resolve everything submitted so far (see :meth:`pump` for
+        epochs: ready ones flip, running repairs are not waited for)."""
+        if self._pending:
+            self._flip_ready()
         self.scheduler.drain(timeout_s)
 
     def status(self) -> dict:
@@ -335,6 +537,7 @@ class QueryService:
             },
             "worker_restarts": self.pool.restarts,
             "batches_done": self.pool.batches_done,
+            "pending_updates": len(self._pending),
             **self.scheduler.stats(),
         }
 
@@ -387,10 +590,28 @@ class QueryService:
         self._prev_usr1 = signal.signal(signal.SIGUSR1, _handler)
 
     def close(self) -> None:
-        """Stop workers, then unlink segments (idempotent)."""
+        """Stop the repair thread and the workers, then unlink segments
+        (idempotent). Updates that are not live yet never will be: their
+        reports get ``error`` set and their staged segments are freed."""
         if self._closed:
             return
         self._closed = True
+        if self._repairer is not None:
+            # _closed makes the thread skip what it has not started; a
+            # repair under way runs to its end (it cannot be interrupted
+            # between NumPy calls without leaving segments behind).
+            self._jobs.put(None)
+            self._repairer.join()
+            self._repairer = None
+        for job in self._pending:
+            if job.staged is not None:
+                release_segments(job.staged.segments)
+            if job.report.error is None:
+                job.report.error = RuntimeError(
+                    f"service closed before epoch {job.report.epoch} "
+                    "went live"
+                )
+        self._pending.clear()
         if self._prev_usr1 is not None:
             try:
                 signal.signal(signal.SIGUSR1, self._prev_usr1)

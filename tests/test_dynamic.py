@@ -30,6 +30,7 @@ from repro.dynamic import (  # noqa: E402
     changed_endpoints,
     next_epoch,
     reweight_graph,
+    validate_batch,
 )
 
 
@@ -121,6 +122,26 @@ class TestEpochs:
         with pytest.raises(ValueError):
             next_epoch(ep, [(e.u, e.v)], [1.0, 2.0])
 
+    def test_validate_batch_is_next_epochs_check(self, de_tiny):
+        """The service runs it alone, at the call site, on any epoch's
+        topology; it must accept and refuse exactly what next_epoch does."""
+        csr = de_tiny.csr()
+        e = next(iter(de_tiny.edges()))
+        pos = validate_batch(csr, [(e.u, e.v)], [2.5])
+        np.testing.assert_array_equal(pos, arc_ids(csr, [(e.u, e.v)]))
+        assert len(validate_batch(csr, [], [])) == 0
+        for edges, ws, exc in (
+            ([(e.u, e.v)], [0.0], ValueError),
+            ([(e.u, e.v)], [math.nan], ValueError),
+            ([(e.u, e.v)], [1.0, 2.0], ValueError),
+            ([(0, 0)], [1.0], KeyError),
+            ([(0, de_tiny.n)], [1.0], KeyError),
+        ):
+            with pytest.raises(exc):
+                validate_batch(csr, edges, ws)
+            with pytest.raises(exc):
+                next_epoch(WeightEpoch.zero(csr), edges, ws)
+
     def test_noop_update_excluded_from_changed(self, de_tiny):
         ep = WeightEpoch.zero(de_tiny.csr())
         e = next(iter(de_tiny.edges()))
@@ -186,6 +207,36 @@ class TestDynamicState:
         assert report.changed_edges == len(edges)
         assert set(report.repair_us) <= set(REPAIRABLE)
         assert {"dijkstra", "ch", "labels"} <= set(report.repair_us)
+
+    def test_dirty_vertices_match_the_loop_bfs(self, de_tiny):
+        """The frontier-at-a-time BFS marks exactly what the one-vertex-
+        at-a-time walk over the reversed up-graph marks."""
+        st = DynamicState(de_tiny, with_labels=False)
+        tails = st.scaffold.tails
+        rev_indptr, rev_tails = st._rev_indptr, st._rev_tails
+
+        def reference(arcs):
+            seen = set(tails[arcs].tolist())
+            stack = list(seen)
+            while stack:
+                x = stack.pop()
+                for t in rev_tails[rev_indptr[x]:rev_indptr[x + 1]].tolist():
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            return sorted(seen)
+
+        rng = np.random.default_rng(7)
+        n_arcs = len(tails)
+        batches = [np.empty(0, dtype=np.int64), np.arange(n_arcs)]
+        batches += [
+            rng.choice(n_arcs, size=k, replace=False) for k in (1, 1, 2, 5, 20)
+        ]
+        # Every arc out of one vertex.
+        batches.append(np.nonzero(tails == tails.max())[0])
+        for arcs in batches:
+            got = st._dirty_vertices(arcs)
+            assert got.tolist() == reference(arcs)
 
     def test_bit_identity_over_epochs(self, de_tiny):
         st = DynamicState(de_tiny, tnr_grid=8, damage_threshold=0.9)

@@ -148,6 +148,33 @@ class TestSpans:
         assert spans[0]["depth"] == 1 and spans[-1]["depth"] == 0
 
 
+    def test_span_stacks_are_per_thread(self, obs_on, tmp_path):
+        """Two threads with open spans never see each other's names."""
+        import threading
+
+        trace_file = tmp_path / "run.jsonl"
+        obs.start_trace(trace_file)
+        both_open = threading.Barrier(2, timeout=30)
+
+        def work(tag):
+            with obs.span(f"{tag}.outer"):
+                both_open.wait()  # the other thread's outer is open too
+                with obs.span(f"{tag}.inner"):
+                    both_open.wait()
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        obs.stop_trace()
+        paths = sorted(
+            e["path"] for e in read_trace(trace_file) if e["t"] == "span"
+        )
+        assert paths == ["a.outer", "a.outer/a.inner", "b.outer", "b.outer/b.inner"]
+
+
 class TestTrace:
     def _write_trace(self, tmp_path):
         trace_file = tmp_path / "run.jsonl"
@@ -590,6 +617,50 @@ class TestMetricsPlane:
             want = reg.histogram("h").as_dict()
             assert snap["histograms"]["h"] == want
             reg.set_mirror(None)
+
+    def test_concurrent_instrument_creation_keeps_every_row(self):
+        """Threads registering names at once (the service's repair
+        thread next to its serving thread): every instrument gets its
+        own plane row and no name is lost or allocated twice."""
+        import sys
+        import threading
+
+        n_threads, per_thread = 8, 12
+        want = {
+            f"t{k}.c{i}": k + 1
+            for k in range(n_threads) for i in range(per_thread)
+        }
+        was = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(10):
+                reg = MetricsRegistry()
+                name = f"rsv-test3-{id(self):x}-{round_}"
+                with MetricsPlane(name) as plane:
+                    reg.set_mirror(PlaneMirror(plane))
+                    go = threading.Barrier(n_threads, timeout=30)
+
+                    def work(k):
+                        go.wait()
+                        for i in range(per_thread):
+                            reg.counter(f"t{k}.c{i}").inc(k + 1)
+                            reg.histogram(f"t{k}.h{i}").observe(float(i + 1))
+
+                    threads = [
+                        threading.Thread(target=work, args=(k,))
+                        for k in range(n_threads)
+                    ]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(30)
+                        assert not t.is_alive()
+                    snap = plane.snapshot()
+                    reg.set_mirror(None)
+                assert snap["counters"] == want
+                assert len(snap["histograms"]) == n_threads * per_thread
+        finally:
+            sys.setswitchinterval(was)
 
     def test_attach_before_and_after_instrument_creation(self):
         reg = MetricsRegistry()

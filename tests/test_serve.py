@@ -755,6 +755,13 @@ ring = RingBuffers(4, 8, token=segs.manifest["service"])
 segs.manifest["transport"] = ring.manifest_entry
 plane = MetricsPlane("rsv-" + segs.manifest["service"] + "-mwsched")
 segs.manifest.setdefault("metrics", {})["scheduler"] = plane.entry
+if len(sys.argv) > 2:
+    # Killed between the repair thread's stage and the serving loop's
+    # flip: the next epoch's segments exist, the manifest predates them.
+    staged = segs.stage(
+        {"dijkstra": pack_graph(csr)},
+        fingerprint=GraphFingerprint.of_csr(csr, epoch=1),
+    )
 with open(sys.argv[1], "w") as fh:
     json.dump(segs.manifest, fh)
 print("READY", flush=True)
@@ -765,12 +772,13 @@ time.sleep(300)
 class TestServiceClean:
     """A SIGKILLed publisher never unlinks; `service clean` must."""
 
-    def _spawn_publisher(self, tmp_path):
+    def _spawn_publisher(self, tmp_path, *flags):
         manifest_path = tmp_path / "manifest.json"
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
         proc = subprocess.Popen(
-            [sys.executable, "-c", _PUBLISHER_SCRIPT, str(manifest_path)],
+            [sys.executable, "-c", _PUBLISHER_SCRIPT, str(manifest_path),
+             *flags],
             stdout=subprocess.PIPE, text=True, env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
@@ -826,6 +834,39 @@ class TestServiceClean:
             from repro.serve.segments import unlink_orphans
 
             unlink_orphans(names)
+
+    def test_staged_epoch_of_a_killed_publisher_is_found(self, tmp_path):
+        """Segments of an epoch that was staged but never flipped are in
+        no manifest; the token scan of ``/dev/shm`` finds them."""
+        from repro.harness.cli import main
+        from repro.serve.segments import (
+            find_orphans,
+            manifest_segment_names,
+            unlink_orphans,
+        )
+
+        proc, manifest_path, manifest = self._spawn_publisher(
+            tmp_path, "staged"
+        )
+        staged = f"rsv-{manifest['service']}-e1-dijkstra"
+        try:
+            assert staged not in manifest_segment_names(manifest)
+            proc.kill()
+            proc.wait()
+            orphans = find_orphans(manifest)
+            assert staged in orphans
+            assert set(manifest_segment_names(manifest)) < set(orphans)
+            rc = main(
+                ["service", "clean", "--manifest", str(manifest_path),
+                 "--force"]
+            )
+            assert rc == 0
+            assert find_orphans(manifest) == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            unlink_orphans([staged, *manifest_segment_names(manifest)])
 
     def test_clean_confirm_aborts_on_no(self, tmp_path, monkeypatch):
         from repro.harness.cli import main
