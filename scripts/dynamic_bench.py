@@ -34,8 +34,7 @@ Gates (``evaluate_gates``):
   (``full_rebuild`` false) — a fallback would be comparing the full
   path to itself;
 - with ``--check BASELINE.json``: each ratio must hold at least half
-  the committed value (machine-noise tolerance, same policy as
-  serve_bench).
+  the committed value (machine-noise tolerance).
 
 Usage::
 

@@ -30,7 +30,6 @@ Run the multi-worker query service over shared-memory segments
 (docs/SERVING.md)::
 
     repro-harness service start --dataset DE --workers 2 --techniques ch
-    repro-harness service bench --techniques ch,tnr,dijkstra
     repro-harness service status --manifest serve-manifest.json [--json]
     repro-harness service stats --manifest serve-manifest.json --watch
 
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Subcommands: 'cache {list,verify,clear,stats}' manages the "
             "disk cache; 'serve' runs the batched distance endpoint; "
-            "'service {start,bench,status,stats}' runs the multi-worker "
+            "'service {start,status,stats,clean}' runs the multi-worker "
             "query service; 'stats' dumps the metrics registry; "
             "'trace <run.jsonl>' renders a run trace's phase tree."
         ),
@@ -372,36 +371,28 @@ def build_service_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="action", required=True)
 
-    def _common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", default="DE", help="dataset name (default: DE)")
-        p.add_argument("--tier", default=None, help="dataset tier (tiny/small/medium)")
-        p.add_argument(
-            "--techniques", default="ch",
-            help="comma-separated techniques to publish/serve (default: ch); "
-                 "the graph (dijkstra) is always published",
-        )
-        p.add_argument(
-            "--pairs", type=int, default=512,
-            help="how many query pairs to serve (drawn from the Q-sets)",
-        )
-        p.add_argument(
-            "--request-size", type=int, default=8,
-            help="pairs per client request before scheduler coalescing",
-        )
-        p.add_argument(
-            "--batch", type=int, default=256,
-            help="scheduler micro-batch cap in pairs (default: 256)",
-        )
-        p.add_argument(
-            "--transport", default=None, choices=("ring", "pipe"),
-            help="request/reply transport (default: $REPRO_SERVE_TRANSPORT "
-                 "or ring)",
-        )
-
     start = sub.add_parser(
         "start", help="serve a Q-set workload through a fresh worker pool"
     )
-    _common(start)
+    start.add_argument("--dataset", default="DE", help="dataset name (default: DE)")
+    start.add_argument("--tier", default=None, help="dataset tier (tiny/small/medium)")
+    start.add_argument(
+        "--techniques", default="ch",
+        help="comma-separated techniques to publish/serve (default: ch); "
+             "the graph (dijkstra) is always published",
+    )
+    start.add_argument(
+        "--pairs", type=int, default=512,
+        help="how many query pairs to serve (drawn from the Q-sets)",
+    )
+    start.add_argument(
+        "--request-size", type=int, default=8,
+        help="pairs per client request before scheduler coalescing",
+    )
+    start.add_argument(
+        "--batch", type=int, default=256,
+        help="scheduler micro-batch cap in pairs (default: 256)",
+    )
     start.add_argument(
         "--workers", type=int, default=2, help="worker processes (default: 2)"
     )
@@ -421,23 +412,6 @@ def build_service_parser() -> argparse.ArgumentParser:
              "dumps the same snapshot to FILE at any point while serving",
     )
     _add_trace_flag(start)
-
-    bench = sub.add_parser(
-        "bench", help="measure QPS per technique (see scripts/serve_bench.py)"
-    )
-    _common(bench)
-    bench.add_argument(
-        "--workers", default="1,2,4,8", metavar="LIST",
-        help="comma-separated worker counts to sweep (default: 1,2,4,8)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing passes per worker count, best kept (default: 3)",
-    )
-    bench.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="write the full report as JSON to FILE",
-    )
 
     status = sub.add_parser(
         "status", help="inspect a running service through its manifest file"
@@ -748,7 +722,7 @@ def _service_main(argv: list[str]) -> int:
         request_stream,
     )
     from repro.serve import QueryService, ServiceConfig
-    from repro.serve.service import bench_serving, serve_workload
+    from repro.serve.service import serve_workload
 
     kwargs = {"verbose": False}
     if args.tier:
@@ -761,39 +735,6 @@ def _service_main(argv: list[str]) -> int:
         return 2
     techniques = tuple(t.strip() for t in args.techniques.split(",") if t.strip())
 
-    if args.action == "bench":
-        try:
-            worker_counts = tuple(
-                int(w) for w in args.workers.split(",") if w.strip()
-            )
-            report = bench_serving(
-                registry,
-                args.dataset,
-                techniques,
-                n_pairs=args.pairs,
-                request_size=args.request_size,
-                max_batch=args.batch,
-                worker_counts=worker_counts,
-                transport=args.transport,
-                repeats=args.repeats,
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"transport: {report['transport']}")
-        for tech, entry in report["techniques"].items():
-            print(f"{tech}: " + ", ".join(
-                f"{k}={v}" for k, v in entry.items()
-            ))
-        if args.output:
-            Path(args.output).write_text(
-                json.dumps(report, indent=1, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"[bench] wrote {args.output}")
-        return 0
-
-    # start
     trace = _resolve_trace(args.trace)
     if trace:
         obs.start_trace(trace)
@@ -811,7 +752,6 @@ def _service_main(argv: list[str]) -> int:
         workers=args.workers,
         techniques=techniques,
         max_batch=args.batch,
-        transport=args.transport,
     )
     try:
         service = QueryService(config, registry=registry)
@@ -823,7 +763,7 @@ def _service_main(argv: list[str]) -> int:
             f"published {', '.join(service.published)} for "
             f"{args.dataset}/{registry.tier}; {args.workers} worker(s), "
             f"pids {service.pool.worker_pids}, "
-            f"transport {service.transport}"
+            f"transport {service.pool.transport}"
         )
         service.install_usr1_snapshot(
             args.metrics_out or f"serve-metrics-{os.getpid()}.prom"

@@ -18,7 +18,7 @@ multi-process service:
   batches once when a worker dies;
 - :mod:`repro.serve.service` ties them together behind
   :class:`~repro.serve.service.QueryService` and the
-  ``repro-harness service {start,bench,status}`` CLI.
+  ``repro-harness service {start,status,stats,clean}`` CLI.
 
 See ``docs/SERVING.md`` for the architecture, the manifest format and
 the failure semantics.
@@ -41,14 +41,12 @@ from repro.serve.segments import (
     load_manifest,
     save_manifest,
 )
-from repro.serve.pool import RingFull, RingPool, WorkerPool, build_techniques
+from repro.serve.pool import RingFull, RingPool, build_techniques
 from repro.serve.service import (
     KNOWN_TECHNIQUES,
-    TRANSPORTS,
     QueryService,
     ServiceConfig,
     build_payloads,
-    resolve_transport,
 )
 
 __all__ = [
@@ -67,12 +65,9 @@ __all__ = [
     "SegmentSet",
     "ServiceConfig",
     "TECHNIQUE_BATCH_CAPS",
-    "TRANSPORTS",
-    "WorkerPool",
     "attach_segments",
     "build_payloads",
     "build_techniques",
     "load_manifest",
-    "resolve_transport",
     "save_manifest",
 ]

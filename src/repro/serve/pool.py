@@ -29,23 +29,17 @@ travel times), so neither the segment indirection nor the scheduler's
 batch partitioning can change a single bit (guarded by
 ``tests/test_serve.py``).
 
-Two transports drive the views (selected by ``REPRO_SERVE_TRANSPORT``
-or :class:`~repro.serve.service.ServiceConfig.transport`):
+One transport drives the views — :class:`RingPool`, the zero-copy
+shared-memory ring: the scheduler writes request pairs into a shared
+int32 arena and publishes a fixed-width slot descriptor
+(:mod:`repro.serve.segments` ring layout); the worker writes distances
+straight into a preallocated float64 result arena and commits the slot;
+only an 8-byte slot index ever crosses the wakeup pipe in either
+direction. Per-slot sequence/commit words make SIGKILL mid-slot
+detectable: an uncommitted slot is retried, a committed one is
+harvested.
 
-- :class:`WorkerPool` — the original pipe transport: batches and their
-  float64 replies are pickled through one ``Pipe`` per worker. Kept as
-  the differential control for the ring transport's bit-identity
-  tests.
-- :class:`RingPool` — the zero-copy ring transport: the scheduler
-  writes request pairs into a shared int32 arena and publishes a
-  fixed-width slot descriptor (:mod:`repro.serve.segments` ring
-  layout); the worker writes distances straight into a preallocated
-  float64 result arena and commits the slot; only an 8-byte slot index
-  ever crosses the wakeup pipe in either direction. Per-slot
-  sequence/commit words make SIGKILL mid-slot detectable: an
-  uncommitted slot is retried, a committed one is harvested.
-
-Either pool dispatches batches to the least-loaded worker and collects
+The pool dispatches batches to the least-loaded worker and collects
 completions with ``multiprocessing.connection.wait``. A worker death
 surfaces as a ``died`` event carrying the batch ids that were lost in
 flight; the pool restarts the worker (counted in
@@ -65,6 +59,8 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.silc.quadtree import MIXED_LEAF
+from repro.core.tnr.grid import OUTER_RADIUS
 from repro.graph.csr import CSRGraph, DirectedCSR
 from repro.obs.registry import MetricsRegistry
 from repro.obs.shm import MetricsPlane, PlaneMirror
@@ -118,12 +114,6 @@ def _manifest_epoch(manifest: dict) -> int:
 
 class RingFull(RuntimeError):
     """No free ring slots for this batch — back off and retry later."""
-
-#: Matches repro.core.tnr.grid.OUTER_RADIUS (imported lazily to keep
-#: the worker's import graph small would be false economy — assert at
-#: build time instead).
-from repro.core.tnr.grid import OUTER_RADIUS  # noqa: E402
-from repro.core.silc.quadtree import MIXED_LEAF  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -540,16 +530,18 @@ def _detach_plane(plane: MetricsPlane | None) -> None:
 def _worker_main(
     manifest: dict, conn, trace_base: str | None, plane_entry: dict | None = None
 ) -> None:
-    """Worker loop: attach, build views, answer batches until ``stop``.
+    """Worker loop: attach, build views, answer slots until ``_STOP``.
 
-    Protocol (parent -> worker): ``("batch", id, technique, pairs)``,
-    ``("epoch", manifest)`` (detach the old segments, attach the
-    re-published ones, acknowledge with ``("epoch_ok", epoch)``) or
-    ``("stop",)``. Worker -> parent: ``("ready", pid)`` once, then
-    ``("ok", id, distances, wstart_us, wcommit_us, epoch)`` /
-    ``("err", id, message)`` per batch. Only the pairs and the result
-    row cross the pipe — never index arrays (the zero-copy contract the
-    tests assert).
+    Protocol: the parent sends one 8-byte slot index per published slot
+    (``_STOP`` to shut down); the worker answers with the same 8 bytes
+    once the slot is committed. Everything else — request pairs, result
+    distances, error text — lives in the shared ring segment and never
+    crosses the pipe.
+
+    Commit discipline (the SIGKILL contract): the result stores land in
+    the arena *before* ``SLOT_COMMIT`` is set to ``SLOT_SEQ``, so the
+    parent can trust any committed slot's results even if this process
+    is killed before (or while) sending the wakeup byte.
     """
     from repro.harness.experiments import batched_distances
 
@@ -566,82 +558,6 @@ def _worker_main(
     # and its own metrics plane must report only worker-side activity,
     # or the parent's build-time totals would be counted once per
     # worker when planes are merged.
-    obs.registry().set_mirror(None)
-    obs.reset()
-    segs = None
-    plane = _attach_plane(plane_entry)
-    try:
-        segs = attach_segments(manifest, foreign=False)
-        techniques = build_techniques(segs)
-        epoch = _manifest_epoch(manifest)
-        conn.send(("ready", os.getpid()))
-        while True:
-            msg = conn.recv()
-            if msg[0] == "stop":
-                break
-            if msg[0] == "epoch":
-                # Atomic view flip: drop every reference into the old
-                # mapping first (so the unmap actually releases it),
-                # then attach the re-published segments. The parent
-                # sends this only after the scheduler drained, so no
-                # batch ever straddles the flip.
-                manifest = msg[1]
-                techniques = None
-                segs.close()
-                segs = attach_segments(manifest, foreign=False)
-                techniques = build_techniques(segs)
-                epoch = _manifest_epoch(manifest)
-                conn.send(("epoch_ok", epoch))
-                continue
-            _, batch_id, technique, pairs = msg
-            t_start = _now_us()
-            try:
-                with obs.span("serve.worker_batch"):
-                    out = batched_distances(
-                        techniques[technique], pairs, batch_size=max(len(pairs), 1)
-                    )
-                conn.send(("ok", batch_id, out, t_start, _now_us(), epoch))
-            except Exception as exc:  # surface, don't die
-                conn.send(("err", batch_id, f"{type(exc).__name__}: {exc}"))
-            if plane is not None:
-                plane.note_batch()
-    except (EOFError, OSError, KeyboardInterrupt):  # parent went away
-        pass
-    finally:
-        if obs.trace_path() is not None:
-            obs.stop_trace()
-        _detach_plane(plane)
-        if segs is not None:
-            segs.close()
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-def _ring_worker_main(
-    manifest: dict, conn, trace_base: str | None, plane_entry: dict | None = None
-) -> None:
-    """Ring-transport worker loop: read descriptors, write the arena.
-
-    Protocol: the parent sends one 8-byte slot index per published slot
-    (``_STOP`` to shut down); the worker answers with the same 8 bytes
-    once the slot is committed. Everything else — request pairs, result
-    distances, error text — lives in the shared ring segment and never
-    crosses the pipe.
-
-    Commit discipline (the SIGKILL contract): the result stores land in
-    the arena *before* ``SLOT_COMMIT`` is set to ``SLOT_SEQ``, so the
-    parent can trust any committed slot's results even if this process
-    is killed before (or while) sending the wakeup byte.
-    """
-    from repro.harness.experiments import batched_distances
-
-    if trace_base or obs.trace_path() is not None:
-        base = trace_base or obs.trace_path()
-        obs.detach_trace()
-        obs.start_trace(obs.unique_trace_path(base))
-    # Inherited mirror + counters: see _worker_main for why both go.
     obs.registry().set_mirror(None)
     obs.reset()
     segs = ring = None
@@ -665,7 +581,10 @@ def _ring_worker_main(
                 # The re-published manifest follows the token on the
                 # same pipe (length-framed, so the byte protocols mix
                 # safely). The ring itself survives the flip — only the
-                # index segments swap underneath it.
+                # index segments swap underneath it. Every reference
+                # into the old mapping is dropped first, so the unmap
+                # actually releases it; the parent flips only after the
+                # scheduler drained, so no batch straddles the flip.
                 manifest = conn.recv()
                 techniques = by_id = None
                 segs.close()
@@ -717,7 +636,7 @@ def _ring_worker_main(
 
 
 # ----------------------------------------------------------------------
-# The pools
+# The pool
 # ----------------------------------------------------------------------
 class _Worker:
     __slots__ = ("process", "conn", "inflight", "ready", "plane")
@@ -725,7 +644,8 @@ class _Worker:
     def __init__(self, process, conn, plane=None) -> None:
         self.process = process
         self.conn = conn
-        self.inflight: dict[int, tuple[str, Sequence]] = {}
+        #: Batch id -> the ring slots it occupies on this worker.
+        self.inflight: dict[int, list[int]] = {}
         self.ready = False
         #: This worker slot's MetricsPlane (parent-owned; the worker
         #: mirrors its registry into it). Survives restarts: the pool
@@ -733,30 +653,69 @@ class _Worker:
         self.plane = plane
 
 
-class WorkerPool:
-    """N persistent workers answering batches over pipes.
+class _RingBatch:
+    """Parent-side record of one batch spread over ring slots."""
+
+    __slots__ = ("batch_id", "slots", "remaining")
+
+    def __init__(self, batch_id: int, slots: list[int]) -> None:
+        self.batch_id = batch_id
+        self.slots = slots
+        self.remaining = set(slots)
+
+
+class RingPool:
+    """N persistent workers behind a shared request ring + result arena.
+
+    :meth:`submit` writes the batch's pairs into the shared int32 arena,
+    fills a fixed-width slot descriptor and sends the worker one 8-byte
+    slot index; the worker writes distances straight into the shared
+    float64 result arena and sends the index back.
 
     Events from :meth:`poll`:
 
     - ``("done", batch_id, distances, stamps)`` — a batch completed;
+      ``distances`` is a numpy *view* into the result arena — no
+      pickling, no copy — valid until the next :meth:`poll` (the
+      scheduler scatters it into futures immediately, so freed slots
+      are recycled one poll later, never under a live view);
       ``stamps`` maps stage names (``enq``/``form``/``pub``/``wstart``/
       ``wcommit``) to CLOCK_MONOTONIC microseconds for the latency
-      breakdown (zero where unknown);
+      breakdown (zero where unknown), plus the worker's ``epoch``;
     - ``("error", batch_id, message)`` — the batch raised in the worker
-      (bad technique name, out-of-range vertex — the worker survives);
+      (e.g. an out-of-range vertex — the worker survives);
     - ``("died", batch_ids)`` — a worker died (crash or kill) with
       those batches in flight; the pool has already restarted it and
       incremented ``serve.worker_restarts``. Requeueing is the
       scheduler's call.
+
+    Backpressure is explicit: a batch that cannot get slots raises
+    :class:`RingFull` and the scheduler holds it, feeding the existing
+    ``Overloaded`` shed path once its queue bound is hit.
+
+    SIGKILL recovery runs on the slot sequence/commit words: a dead
+    worker's fully-committed batches are harvested from the arena as
+    normal completions (the results provably landed before death);
+    any batch with an uncommitted slot is reported ``died`` for the
+    scheduler's retry-once policy.
+
+    Batches larger than one slot (the scheduler's oversized-request
+    case) span several contiguous-per-slot spans on the same worker;
+    their ``done`` event concatenates the spans in order, so answers
+    stay bit-identical to one in-process call over the same pairs.
     """
 
-    #: Worker entry point; RingPool overrides with the ring loop.
-    _worker_target = staticmethod(_worker_main)
-
     #: The transport's name in status()/bench reports.
-    transport = "pipe"
+    transport = "ring"
 
-    def __init__(self, manifest: dict, n_workers: int = 2) -> None:
+    def __init__(
+        self,
+        manifest: dict,
+        n_workers: int = 2,
+        *,
+        ring_slots: int = 64,
+        slot_pairs: int = 256,
+    ) -> None:
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
         self.manifest = manifest
@@ -773,10 +732,6 @@ class WorkerPool:
         #: Metrics harvested from dead workers' planes (merged in at
         #: reap time, folded into the service's aggregate snapshot).
         self.retired = MetricsRegistry()
-        #: Per-stage timestamp records for pipe-transport batches,
-        #: keyed by batch id (the ring transport carries these in the
-        #: slot descriptor words instead).
-        self._meta: dict[int, dict] = {}
         #: One fixed-name metrics plane per worker *slot* (not per
         #: process): registered in the manifest before any fork so a
         #: foreign `service stats` dashboard can attach them, and kept
@@ -788,9 +743,22 @@ class WorkerPool:
         manifest.setdefault("metrics", {})["workers"] = [
             p.entry for p in self._planes
         ]
+        #: The pool owns the ring segment (publisher-unlink semantics);
+        #: the manifest gains the transport entry *before* any worker
+        #: forks, so attachers find it.
+        self.ring = RingBuffers(
+            ring_slots, slot_pairs, token=manifest.get("service")
+        )
+        manifest["transport"] = self.ring.manifest_entry
+        self._tech_id = {
+            name: i for i, name in enumerate(sorted(manifest["techniques"]))
+        }
+        self._free: list[int] = list(range(ring_slots - 1, -1, -1))
+        self._pending_free: list[int] = []
+        self._batches: dict[int, _RingBatch] = {}
 
     # ------------------------------------------------------------------
-    def start(self) -> "WorkerPool":
+    def start(self) -> "RingPool":
         for i in range(self.n_workers):
             self._workers.append(self._spawn(self._planes[i]))
         return self
@@ -798,7 +766,7 @@ class WorkerPool:
     def _spawn(self, plane: MetricsPlane | None = None) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=self._worker_target,
+            target=_worker_main,
             args=(
                 self.manifest,
                 child_conn,
@@ -818,6 +786,10 @@ class WorkerPool:
     @property
     def inflight(self) -> int:
         return sum(len(w.inflight) for w in self._workers)
+
+    @property
+    def free_slots(self) -> int:
+        return len(self._free)
 
     def worker_status(self) -> list[dict]:
         """Per-worker liveness/progress rows (``service status`` section).
@@ -871,7 +843,11 @@ class WorkerPool:
         pending: list[_Worker] = []
         for w in list(self._workers):
             try:
-                self._send_epoch(w)
+                # The token warns the worker that the next frame is a
+                # pickled manifest, not another slot index (framing
+                # keeps them apart).
+                w.conn.send_bytes(_TOKEN.pack(_EPOCH))
+                w.conn.send(self.manifest)
                 pending.append(w)
             except (BrokenPipeError, OSError):
                 self._reap(w)
@@ -884,9 +860,6 @@ class WorkerPool:
                 self._reap(w)
         return _manifest_epoch(self.manifest)
 
-    def _send_epoch(self, w: _Worker) -> None:
-        w.conn.send(("epoch", self.manifest))
-
     def _ack_epoch(self, w: _Worker) -> None:
         while True:
             if not w.conn.poll(10):
@@ -894,261 +867,15 @@ class WorkerPool:
                     f"worker pid {w.process.pid} did not acknowledge the "
                     f"epoch flip"
                 )
-            msg = w.conn.recv()
-            if msg[0] == "epoch_ok":
+            token = _TOKEN.unpack(w.conn.recv_bytes())[0]
+            if token == _EPOCH:
                 return
-            if msg[0] == "ready":  # a fresh respawn racing the flip
+            if token == _READY:  # a fresh respawn racing the flip
                 w.ready = True
-
-    def submit(
-        self,
-        batch_id: int,
-        technique: str,
-        pairs: Sequence,
-        meta: dict | None = None,
-    ) -> None:
-        """Send a batch to the least-loaded live worker.
-
-        ``meta`` optionally carries the scheduler's telemetry stamps
-        (``request_id``/``t_enq_us``/``t_form_us``); the transport adds
-        its own publish/worker stamps and hands the full set back on
-        the ``done`` event.
-
-        A worker whose pipe is already broken is reaped (and restarted)
-        on the spot and the next candidate tried; with every worker
-        freshly dead the batch lands on a restarted one.
-        """
-        last_exc: BaseException | None = None
-        for w in sorted(self._workers, key=lambda w: len(w.inflight)):
-            try:
-                w.conn.send(("batch", batch_id, technique, pairs))
-            except (BrokenPipeError, OSError) as exc:
-                last_exc = exc
-                self._reap(w)  # events for its in-flight batches surface in poll
-                continue
-            w.inflight[batch_id] = (technique, pairs)
-            self._meta[batch_id] = {
-                "enq": int(meta.get("t_enq_us") or 0) if meta else 0,
-                "form": int(meta.get("t_form_us") or 0) if meta else 0,
-                "pub": _now_us(),
-            }
-            return
-        raise RuntimeError("no live worker accepted the batch") from last_exc
-
-    def poll(self, timeout: float = 0.0) -> list[tuple]:
-        """Collect completion/death events (waits up to ``timeout`` s)."""
-        events: list[tuple] = []
-        self._reclaim()
-        if self._orphaned:
-            events.append(("died", self._orphaned))
-            self._orphaned = []
-        while True:
-            conns = [w.conn for w in self._workers]
-            ready = _conn_wait(conns, timeout)
-            if not ready:
-                # A SIGKILLed worker's pipe usually reports EOF, but
-                # belt-and-braces: reap anything no longer alive.
-                for w in list(self._workers):
-                    if not w.process.is_alive():
-                        events.extend(self._reap_events(w))
-                return events
-            timeout = 0.0  # only block on the first wait
-            for conn in ready:
-                w = next(x for x in self._workers if x.conn is conn)
-                try:
-                    self._on_message(w, events)
-                except (EOFError, OSError):
-                    events.extend(self._reap_events(w))
-
-    def _reclaim(self) -> None:
-        """Transport hook run at poll start (slot recycling for rings)."""
-
-    def _on_message(self, w: _Worker, events: list[tuple]) -> None:
-        """Consume one pipe message from ``w`` into ``events``."""
-        msg = w.conn.recv()
-        if msg[0] == "ready":
-            w.ready = True
-        elif msg[0] == "ok":
-            _, batch_id, distances, wstart, wcommit, epoch = msg
-            w.inflight.pop(batch_id, None)
-            self.batches_done += 1
-            if obs.ENABLED:
-                nbytes = getattr(distances, "nbytes", 8 * len(distances))
-                obs.registry().counter("serve.reply_bytes").inc(int(nbytes))
-            stamps = self._meta.pop(batch_id, None) or {}
-            stamps["wstart"] = int(wstart)
-            stamps["wcommit"] = int(wcommit)
-            stamps["epoch"] = int(epoch)
-            events.append(("done", batch_id, distances, stamps))
-        elif msg[0] == "err":
-            _, batch_id, message = msg
-            w.inflight.pop(batch_id, None)
-            self._meta.pop(batch_id, None)
-            events.append(("error", batch_id, message))
-
-    def _reap_events(self, w: _Worker) -> list[tuple]:
-        lost = list(w.inflight)
-        w.inflight.clear()
-        self._reap(w)
-        return [("died", lost)] if lost else []
-
-    def _reap(self, w: _Worker) -> None:
-        """Replace a dead worker with a fresh one (counted).
-
-        Anything still in the worker's in-flight map (a reap outside
-        poll's event path) is queued as orphaned so the next poll
-        reports it ``died`` instead of leaving its futures pending.
-
-        The dead worker's metrics plane is harvested into
-        :attr:`retired` *after* the join (the plane is quiescent, so
-        the read is exact) and reset before the replacement inherits
-        the same fixed-name segment — counters never double-count and
-        never silently vanish across a restart.
-        """
-        self._orphaned.extend(w.inflight)
-        for batch_id in w.inflight:
-            self._meta.pop(batch_id, None)
-        w.inflight.clear()
-        try:
-            w.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if w.process.is_alive():  # broken pipe but still running: kill
-            w.process.terminate()
-        w.process.join(timeout=5)
-        if w.plane is not None:
-            try:
-                self.retired.merge_snapshot(w.plane.snapshot())
-            except ValueError:  # pragma: no cover - torn mid-death write
-                pass
-            w.plane.reset()
-        self._workers.remove(w)
-        self._workers.append(self._spawn(w.plane))
-        self.restarts += 1
-        if obs.ENABLED:
-            obs.registry().counter("serve.worker_restarts").inc()
+            elif token >= 0:  # pragma: no cover - stale slot post-drain
+                self._pending_free.append(token)
 
     # ------------------------------------------------------------------
-    def _send_stop(self, w: _Worker) -> None:
-        w.conn.send(("stop",))
-
-    def stop(self) -> None:
-        """Graceful shutdown: stop message, join, then force-kill."""
-        for w in self._workers:
-            try:
-                self._send_stop(w)
-            except (BrokenPipeError, OSError):
-                pass
-        for w in self._workers:
-            w.process.join(timeout=5)
-            if w.process.is_alive():  # pragma: no cover - stuck worker
-                w.process.kill()
-                w.process.join(timeout=5)
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._workers.clear()
-        planes, self._planes = self._planes, []
-        for p in planes:
-            try:
-                p.close()
-            except Exception:  # pragma: no cover
-                pass
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-# ----------------------------------------------------------------------
-# The ring-transport pool
-# ----------------------------------------------------------------------
-class _RingBatch:
-    """Parent-side record of one batch spread over ring slots."""
-
-    __slots__ = ("batch_id", "slots", "remaining")
-
-    def __init__(self, batch_id: int, slots: list[int]) -> None:
-        self.batch_id = batch_id
-        self.slots = slots
-        self.remaining = set(slots)
-
-
-class RingPool(WorkerPool):
-    """Zero-copy transport: shared request ring + result arena.
-
-    Same event surface as :class:`WorkerPool` (``done`` / ``error`` /
-    ``died``), different wire: :meth:`submit` writes the batch's pairs
-    into the shared int32 arena, fills a fixed-width slot descriptor
-    and sends the worker one 8-byte slot index; the worker writes
-    distances straight into the shared float64 result arena and sends
-    the index back. ``done`` events carry numpy *views* into that
-    arena — no pickling, no copy — valid until the next :meth:`poll`
-    (the scheduler scatters them into futures immediately, so freed
-    slots are recycled one poll later, never under a live view).
-
-    Backpressure is explicit: a batch that cannot get slots raises
-    :class:`RingFull` and the scheduler holds it, feeding the existing
-    ``Overloaded`` shed path once its queue bound is hit.
-
-    SIGKILL recovery runs on the slot sequence/commit words: a dead
-    worker's fully-committed batches are harvested from the arena as
-    normal completions (the results provably landed before death);
-    any batch with an uncommitted slot is reported ``died`` for the
-    scheduler's retry-once policy.
-
-    Batches larger than one slot (the scheduler's oversized-request
-    case) span several contiguous-per-slot spans on the same worker;
-    their ``done`` event concatenates the spans in order, so answers
-    stay bit-identical to the pipe transport.
-    """
-
-    _worker_target = staticmethod(_ring_worker_main)
-    transport = "ring"
-
-    def __init__(
-        self,
-        manifest: dict,
-        n_workers: int = 2,
-        *,
-        ring_slots: int = 64,
-        slot_pairs: int = 256,
-    ) -> None:
-        super().__init__(manifest, n_workers)
-        #: The pool owns the ring segment (publisher-unlink semantics);
-        #: the manifest gains the transport entry *before* any worker
-        #: forks, so attachers find it.
-        self.ring = RingBuffers(
-            ring_slots, slot_pairs, token=manifest.get("service")
-        )
-        manifest["transport"] = self.ring.manifest_entry
-        self._tech_id = {
-            name: i for i, name in enumerate(sorted(manifest["techniques"]))
-        }
-        self._free: list[int] = list(range(ring_slots - 1, -1, -1))
-        self._pending_free: list[int] = []
-        self._batches: dict[int, _RingBatch] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def free_slots(self) -> int:
-        return len(self._free)
-
-    def _reclaim(self) -> None:
-        """Recycle slots whose ``done`` views the scheduler has consumed.
-
-        Completed slots park in ``_pending_free`` until the *next* poll:
-        by then the scheduler has scattered every previously returned
-        arena view, so recycling cannot overwrite a result that has not
-        been read (the zero-copy hand-back invariant).
-        """
-        if self._pending_free:
-            self._free.extend(self._pending_free)
-            self._pending_free.clear()
-
     def submit(
         self,
         batch_id: int,
@@ -1158,9 +885,18 @@ class RingPool(WorkerPool):
     ) -> None:
         """Publish a batch into ring slots on the least-loaded worker.
 
+        ``meta`` optionally carries the scheduler's telemetry stamps
+        (``request_id``/``t_enq_us``/``t_form_us``); the slot words add
+        the publish/worker stamps and the full set comes back on the
+        ``done`` event.
+
         Raises :class:`RingFull` when the ring cannot hold the batch
         right now; raises ``ValueError`` for a batch that could *never*
         fit (more pairs than the whole ring holds).
+
+        A worker whose pipe is already broken is reaped (and restarted)
+        on the spot and the next candidate tried; with every worker
+        freshly dead the batch lands on a restarted one.
         """
         tech_id = self._tech_id.get(technique)
         if tech_id is None:
@@ -1198,15 +934,6 @@ class RingPool(WorkerPool):
                 self._reap(w)
         raise RuntimeError("no live worker accepted the batch") from last_exc
 
-    def _reap(self, w: _Worker) -> None:
-        # Free the slots (and drop the records) of batches the base
-        # class is about to orphan, so their retries get fresh slots.
-        for batch_id in w.inflight:
-            rec = self._batches.pop(batch_id, None)
-            if rec is not None:
-                self._pending_free.extend(rec.slots)
-        super()._reap(w)
-
     def _publish(
         self, w: _Worker, slot: int, batch_id: int, tech_id: int,
         arr: np.ndarray, start: int, meta: dict | None = None,
@@ -1234,7 +961,39 @@ class RingPool(WorkerPool):
         w.conn.send_bytes(_TOKEN.pack(slot))
 
     # ------------------------------------------------------------------
+    def poll(self, timeout: float = 0.0) -> list[tuple]:
+        """Collect completion/death events (waits up to ``timeout`` s)."""
+        events: list[tuple] = []
+        # Completed slots park in _pending_free until the *next* poll:
+        # by then the scheduler has scattered every previously returned
+        # arena view, so recycling cannot overwrite a result that has
+        # not been read (the zero-copy hand-back invariant).
+        if self._pending_free:
+            self._free.extend(self._pending_free)
+            self._pending_free.clear()
+        if self._orphaned:
+            events.append(("died", self._orphaned))
+            self._orphaned = []
+        while True:
+            conns = [w.conn for w in self._workers]
+            ready = _conn_wait(conns, timeout)
+            if not ready:
+                # A SIGKILLed worker's pipe usually reports EOF, but
+                # belt-and-braces: reap anything no longer alive.
+                for w in list(self._workers):
+                    if not w.process.is_alive():
+                        events.extend(self._reap_events(w))
+                return events
+            timeout = 0.0  # only block on the first wait
+            for conn in ready:
+                w = next(x for x in self._workers if x.conn is conn)
+                try:
+                    self._on_message(w, events)
+                except (EOFError, OSError):
+                    events.extend(self._reap_events(w))
+
     def _on_message(self, w: _Worker, events: list[tuple]) -> None:
+        """Consume one wakeup token from ``w`` into ``events``."""
         slot = _TOKEN.unpack(w.conn.recv_bytes())[0]
         if slot == _READY:
             w.ready = True
@@ -1317,34 +1076,76 @@ class RingPool(WorkerPool):
             events.append(("died", lost))
         return events
 
-    # ------------------------------------------------------------------
-    def _send_epoch(self, w: _Worker) -> None:
-        # The token warns the worker that the next frame is a pickled
-        # manifest, not another slot index (framing keeps them apart).
-        w.conn.send_bytes(_TOKEN.pack(_EPOCH))
-        w.conn.send(self.manifest)
+    def _reap(self, w: _Worker) -> None:
+        """Replace a dead worker with a fresh one (counted).
 
-    def _ack_epoch(self, w: _Worker) -> None:
-        while True:
-            if not w.conn.poll(10):
-                raise RuntimeError(
-                    f"worker pid {w.process.pid} did not acknowledge the "
-                    f"epoch flip"
-                )
-            token = _TOKEN.unpack(w.conn.recv_bytes())[0]
-            if token == _EPOCH:
-                return
-            if token == _READY:
-                w.ready = True
-            elif token >= 0:  # pragma: no cover - stale slot post-drain
-                self._pending_free.append(token)
+        Anything still in the worker's in-flight map (a reap outside
+        poll's event path) has its slots freed, so the retry gets fresh
+        ones, and is queued as orphaned so the next poll reports it
+        ``died`` instead of leaving its futures pending.
 
-    def _send_stop(self, w: _Worker) -> None:
-        w.conn.send_bytes(_TOKEN.pack(_STOP))
-
-    def stop(self) -> None:
-        """Stop the workers, then unlink the ring segment."""
+        The dead worker's metrics plane is harvested into
+        :attr:`retired` *after* the join (the plane is quiescent, so
+        the read is exact) and reset before the replacement inherits
+        the same fixed-name segment — counters never double-count and
+        never silently vanish across a restart.
+        """
+        for batch_id in w.inflight:
+            rec = self._batches.pop(batch_id, None)
+            if rec is not None:
+                self._pending_free.extend(rec.slots)
+        self._orphaned.extend(w.inflight)
+        w.inflight.clear()
         try:
-            super().stop()
+            w.conn.close()
+        except OSError:  # pragma: no cover
+            pass
+        if w.process.is_alive():  # broken pipe but still running: kill
+            w.process.terminate()
+        w.process.join(timeout=5)
+        if w.plane is not None:
+            try:
+                self.retired.merge_snapshot(w.plane.snapshot())
+            except ValueError:  # pragma: no cover - torn mid-death write
+                pass
+            w.plane.reset()
+        self._workers.remove(w)
+        self._workers.append(self._spawn(w.plane))
+        self.restarts += 1
+        if obs.ENABLED:
+            obs.registry().counter("serve.worker_restarts").inc()
+
+    # ------------------------------------------------------------------
+    def stop(self) -> None:
+        """Graceful shutdown: stop token, join, then force-kill; the
+        ring segment is unlinked last."""
+        try:
+            for w in self._workers:
+                try:
+                    w.conn.send_bytes(_TOKEN.pack(_STOP))
+                except (BrokenPipeError, OSError):
+                    pass
+            for w in self._workers:
+                w.process.join(timeout=5)
+                if w.process.is_alive():  # pragma: no cover - stuck worker
+                    w.process.kill()
+                    w.process.join(timeout=5)
+                try:
+                    w.conn.close()
+                except OSError:  # pragma: no cover
+                    pass
+            self._workers.clear()
+            planes, self._planes = self._planes, []
+            for p in planes:
+                try:
+                    p.close()
+                except Exception:  # pragma: no cover
+                    pass
         finally:
             self.ring.close()
+
+    def __enter__(self) -> "RingPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()

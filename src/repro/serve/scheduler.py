@@ -37,8 +37,8 @@ Admission control is load-shedding, not queueing-forever:
   published in this service's segments is answered by ``degrade_to``
   (bidirectional Dijkstra by default) with the future's ``degraded``
   flag set, rather than erroring (counter ``serve.degraded``);
-- ring backpressure — on the ring transport a batch that cannot get
-  slots (:class:`~repro.serve.pool.RingFull`) is *held*, not lost:
+- ring backpressure — a batch that cannot get ring slots
+  (:class:`~repro.serve.pool.RingFull`) is *held*, not lost:
   it parks in a blocked queue (counter ``serve.ring_full``, wait time
   in the ``serve.slot_wait_us`` histogram) and re-dispatches as soon
   as completions recycle slots. Held batches still count against
@@ -50,9 +50,9 @@ pool (counter ``serve.retries``); a second death fails its futures.
 
 Telemetry: every request gets a monotonically increasing ``request_id``
 and every batch carries stage timestamps (enqueue → batch-form →
-slot-publish → worker-start → commit → scatter) through the transport
-(ring slot words / extended pipe replies), feeding the
-``serve.e2e_us`` and ``serve.stage_us.<stage>`` histograms. A bounded
+slot-publish → worker-start → commit → scatter) through the ring's
+slot words, feeding the ``serve.e2e_us`` and
+``serve.stage_us.<stage>`` histograms. A bounded
 :class:`FlightRecorder` keeps the last N terminal request records
 (done/failed/shed, with latency and retry/degrade flags) for
 post-mortem inspection regardless of whether obs is enabled.
@@ -67,7 +67,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.serve.pool import RingFull, WorkerPool
+from repro.serve.pool import RingFull, RingPool
 
 Pair = tuple[int, int]
 
@@ -214,7 +214,7 @@ class BatchingScheduler:
 
     def __init__(
         self,
-        pool: WorkerPool,
+        pool: RingPool,
         published: Sequence[str],
         *,
         known: Sequence[str] | None = None,

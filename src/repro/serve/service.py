@@ -3,10 +3,10 @@
 :class:`QueryService` is the one-stop assembly of the serving
 subsystem: it packs the registry's built indexes into shared-memory
 segments (:mod:`repro.serve.segments`), starts a
-:class:`~repro.serve.pool.WorkerPool` over them and fronts it with a
+:class:`~repro.serve.pool.RingPool` over them and fronts it with a
 :class:`~repro.serve.scheduler.BatchingScheduler`. The
-``repro-harness service {start,bench,status}`` CLI and
-``scripts/serve_bench.py`` are thin drivers over this class.
+``repro-harness service {start,status,stats,clean}`` CLI is a thin
+driver over this class.
 
 Lifecycle::
 
@@ -39,12 +39,14 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.harness.registry import Registry
 from repro.obs.registry import MetricsRegistry, to_prometheus
 from repro.obs.shm import MetricsPlane, PlaneMirror
 from repro.persistence import GraphFingerprint
-from repro.serve.pool import RingPool, WorkerPool
+from repro.serve.pool import RingPool
 from repro.serve.scheduler import BatchingScheduler, QueryFuture
 from repro.serve.segments import (
     SegmentSet,
@@ -66,24 +68,8 @@ KNOWN_TECHNIQUES = ("dijkstra", "ch", "tnr", "silc", "pcpd", "labels")
 #: Techniques that can actually be published into segments.
 PUBLISHABLE = ("dijkstra", "ch", "tnr", "silc", "labels")
 
-#: Request/reply transports: shared-memory ring buffers (the default,
-#: zero-copy) and the original pickled pipe path (kept as the
-#: differential control; see docs/SERVING.md).
-TRANSPORTS = ("ring", "pipe")
-
-#: Environment knob consulted when ``ServiceConfig.transport`` is None.
-TRANSPORT_ENV = "REPRO_SERVE_TRANSPORT"
-
-
-def resolve_transport(value: str | None = None) -> str:
-    """The effective transport: explicit value > env knob > ``ring``."""
-    got = value or os.environ.get(TRANSPORT_ENV) or "ring"
-    got = got.lower()
-    if got not in TRANSPORTS:
-        raise ValueError(
-            f"unknown serve transport {got!r} (choose from {list(TRANSPORTS)})"
-        )
-    return got
+#: What counts as a vertex id at admission (Python and NumPy integers).
+_INTEGRAL = (int, np.integer)
 
 
 @dataclass
@@ -100,10 +86,8 @@ class ServiceConfig:
     max_batch_overrides: dict | None = None
     batch_window_s: float = 0.002
     max_queue: int = 1024
-    #: ``"ring"`` / ``"pipe"``; None resolves via $REPRO_SERVE_TRANSPORT.
-    transport: str | None = None
-    #: Ring transport sizing: request slots in the shared ring (each
-    #: slot carries up to ``max_batch`` pairs).
+    #: Ring sizing: request slots in the shared ring (each slot carries
+    #: up to ``max_batch`` pairs).
     ring_slots: int = 64
     cache: str = "auto"
     extra: dict = field(default_factory=dict)
@@ -191,19 +175,13 @@ class QueryService:
                 tier=config.tier,
             )
         try:
-            self.transport = resolve_transport(config.transport)
             with obs.span("serve.pool_start"):
-                if self.transport == "ring":
-                    self.pool: WorkerPool = RingPool(
-                        self.segments.manifest,
-                        n_workers=config.workers,
-                        ring_slots=config.ring_slots,
-                        slot_pairs=config.max_batch,
-                    ).start()
-                else:
-                    self.pool = WorkerPool(
-                        self.segments.manifest, n_workers=config.workers
-                    ).start()
+                self.pool = RingPool(
+                    self.segments.manifest,
+                    n_workers=config.workers,
+                    ring_slots=config.ring_slots,
+                    slot_pairs=config.max_batch,
+                ).start()
             self.scheduler = BatchingScheduler(
                 self.pool,
                 published=self.segments.techniques,
@@ -238,6 +216,9 @@ class QueryService:
                 plane.close()
             self.segments.close()
             raise
+        # The vertex count requests are checked against at admission;
+        # epochs change weights, never topology.
+        self._n_vertices = int(self.manifest["fingerprint"]["n"])
         self._prev_usr1 = None
         self._closed = False
         self._dyn = None
@@ -308,7 +289,7 @@ class QueryService:
            drain the scheduler — batches in flight complete on the epoch
            they were admitted under — point the manifest at the staged
            segments, barrier every worker onto them
-           (:meth:`~repro.serve.pool.WorkerPool.flip_epoch`), unlink the
+           (:meth:`~repro.serve.pool.RingPool.flip_epoch`), unlink the
            old segments, bump the admission epoch.
 
         Updates go live one epoch per call, in call order, never merged:
@@ -494,6 +475,24 @@ class QueryService:
         return self.epoch
 
     def submit(self, technique, pairs, deadline_s=None) -> QueryFuture:
+        """Admit one request (see :meth:`BatchingScheduler.submit`).
+
+        Every vertex id must be an integer in ``[0, n)``; anything else
+        raises ``ValueError`` here, before a request id is issued or
+        anything is queued. A kernel would wrap a negative id around to
+        another vertex's answer, and an id past the end would fail the
+        whole coalesced batch, innocent requests included.
+        """
+        n = self._n_vertices
+        for s, t in pairs:
+            if not (
+                isinstance(s, _INTEGRAL) and isinstance(t, _INTEGRAL)
+                and 0 <= s < n and 0 <= t < n
+            ):
+                raise ValueError(
+                    f"pair ({s!r}, {t!r}): vertex ids must be integers "
+                    f"in [0, {n})"
+                )
         return self.scheduler.submit(technique, pairs, deadline_s=deadline_s)
 
     def pump(self, block_s: float = 0.0) -> int:
@@ -526,7 +525,7 @@ class QueryService:
         return {
             "dataset": self.config.dataset,
             "tier": self.config.tier,
-            "transport": self.transport,
+            "transport": self.pool.transport,
             "n_workers": self.pool.n_workers,
             "workers": self.pool.worker_status(),
             "worker_pids": self.pool.worker_pids,
@@ -550,7 +549,7 @@ class QueryService:
           histograms) — read directly, *not* through the scheduler
           plane, so nothing double-counts;
         - every live worker's metrics plane;
-        - :attr:`WorkerPool.retired` — instruments harvested from
+        - :attr:`RingPool.retired` — instruments harvested from
           workers that died and were restarted;
         - per-worker ``serve.worker.<i>.{pid,batches}`` gauges from the
           plane headers.
@@ -634,56 +633,6 @@ class QueryService:
         self.close()
 
 
-# ----------------------------------------------------------------------
-# Benchmark driver (scripts/serve_bench.py and `service bench`)
-# ----------------------------------------------------------------------
-def _latency_percentiles(
-    registry: Registry,
-    dataset: str,
-    tech: str,
-    requests: Sequence,
-    max_batch: int,
-    transport: str,
-) -> dict:
-    """True request-latency percentiles from the merged metrics plane.
-
-    Runs one instrumented 2-worker pass (obs enabled on a clean
-    registry, restored after) and reads ``serve.e2e_us`` /
-    ``serve.stage_us.worker`` out of :meth:`QueryService.merged_snapshot`
-    — end-to-end numbers measured across the parent *and* the workers,
-    not parent-side approximations. Kept separate from the throughput
-    sweep so instrumentation overhead never taints the QPS columns.
-    """
-    was = obs.ENABLED
-    obs.reset()
-    obs.set_enabled(True)
-    try:
-        config = ServiceConfig(
-            dataset=dataset,
-            tier=registry.tier,
-            workers=2,
-            techniques=(tech,),
-            max_batch=max_batch,
-            transport=transport,
-        )
-        with QueryService(config, registry=registry) as svc:
-            serve_workload(svc, tech, requests)
-            snap = svc.merged_snapshot()
-    finally:
-        obs.set_enabled(was)
-        obs.reset()
-    out: dict = {}
-    hists = snap.get("histograms", {})
-    for key, name in (
-        ("latency_e2e_us", "serve.e2e_us"),
-        ("latency_worker_us", "serve.stage_us.worker"),
-    ):
-        h = hists.get(name)
-        if h and h.get("count"):
-            out[key] = {q: round(h[q], 1) for q in ("p50", "p90", "p99")}
-    return out
-
-
 def serve_workload(
     service: QueryService,
     technique: str,
@@ -704,134 +653,3 @@ def serve_workload(
     service.drain()
     elapsed = time.perf_counter() - started
     return futures, elapsed
-
-
-def bench_serving(
-    registry: Registry,
-    dataset: str = "DE",
-    techniques: Sequence[str] = ("ch", "tnr", "dijkstra"),
-    *,
-    n_pairs: int = 2000,
-    request_size: int = 8,
-    max_batch: int = 256,
-    worker_counts: Sequence[int] = (1, 2, 4, 8),
-    transport: str | None = None,
-    repeats: int = 3,
-    check: bool = True,
-) -> dict:
-    """QPS per technique: in-process vs per-request vs the service.
-
-    Three comparable numbers per technique, all over the same Q-set
-    workload split into ``request_size``-pair requests:
-
-    - ``qps_inprocess_batched`` — one process, one big
-      ``batched_distances`` call (the coalescing ceiling);
-    - ``qps_single`` — one process answering each request as it
-      arrives, no cross-request coalescing (what a naive service
-      does per client request);
-    - ``qps_service_<k>w`` — the full service at ``k`` workers,
-      micro-batching the same request stream, on the selected
-      ``transport`` (best of ``repeats`` passes, which suppresses
-      scheduler-noise outliers on loaded machines).
-
-    ``speedup_2w`` is ``qps_service_2w / qps_single`` — the service's
-    gain over per-request serving, which on a single core is pure
-    coalescing (on multi-core boxes worker parallelism stacks on top).
-    ``bit_identical`` asserts every service answer equals the
-    in-process batched answer bit for bit.
-    """
-    import numpy as np
-
-    from repro.harness.experiments import batched_distances, request_stream
-
-    transport = resolve_transport(transport)
-    pairs = [p for qset in registry.q_sets(dataset) for p in qset.pairs]
-    while pairs and len(pairs) < n_pairs:
-        pairs = pairs + pairs
-    pairs = pairs[:n_pairs]
-    requests = request_stream(pairs, request_size)
-    builders = {
-        "dijkstra": registry.bidijkstra,
-        "ch": registry.ch,
-        "tnr": registry.tnr,
-        "silc": registry.silc,
-        "labels": registry.hub_labels,
-    }
-    report: dict = {
-        "dataset": dataset,
-        "tier": registry.tier,
-        "transport": transport,
-        "cpu_count": os.cpu_count() or 1,
-        "n_pairs": len(pairs),
-        "request_size": request_size,
-        "max_batch": max_batch,
-        "worker_counts": list(worker_counts),
-        "repeats": repeats,
-        "techniques": {},
-    }
-    for tech in techniques:
-        obj = builders[tech](dataset)
-        started = time.perf_counter()
-        want = batched_distances(obj, pairs, batch_size=max_batch)
-        t_batched = time.perf_counter() - started
-        t_single = float("inf")
-        for _ in range(max(1, repeats)):
-            started = time.perf_counter()
-            for req in requests:
-                batched_distances(obj, req, batch_size=len(req))
-            t_single = min(t_single, time.perf_counter() - started)
-        entry: dict = {
-            "qps_inprocess_batched": round(len(pairs) / t_batched, 1),
-            "qps_single": round(len(pairs) / t_single, 1),
-        }
-        identical = True
-        best: dict[int, float] = {w: float("inf") for w in worker_counts}
-        # Two sweep passes, the second in reverse order: throughput on a
-        # shared box drifts over minutes, and a one-directional sweep
-        # would bake that drift into the worker-scaling ratios. Keeping
-        # the best of a forward and a backward pass hits both ends of
-        # the ladder with both halves of the drift.
-        sweep_orders = [list(worker_counts), list(worker_counts)[::-1]]
-        for order in sweep_orders:
-            for workers in order:
-                config = ServiceConfig(
-                    dataset=dataset,
-                    tier=registry.tier,
-                    workers=workers,
-                    techniques=(tech,),
-                    max_batch=max_batch,
-                    transport=transport,
-                )
-                with QueryService(config, registry=registry) as svc:
-                    serve_workload(svc, tech, requests[:4])  # warm the pool
-                    for _ in range(max(1, repeats)):
-                        futures, secs = serve_workload(svc, tech, requests)
-                        best[workers] = min(best[workers], secs)
-                        if check:
-                            got = np.array(
-                                [d for f in futures for d in f.result()]
-                            )
-                            identical = identical and bool(
-                                np.array_equal(got, want)
-                            )
-        for workers in worker_counts:
-            entry[f"qps_service_{workers}w"] = round(
-                len(pairs) / best[workers], 1
-            )
-        if check:
-            entry["bit_identical"] = identical
-        if 1 in worker_counts and 2 in worker_counts:
-            entry["scaling_2w"] = round(
-                entry["qps_service_2w"] / entry["qps_service_1w"], 2
-            )
-        if 2 in worker_counts:
-            entry["speedup_2w"] = round(
-                entry["qps_service_2w"] / entry["qps_single"], 2
-            )
-        entry.update(
-            _latency_percentiles(
-                registry, dataset, tech, requests, max_batch, transport
-            )
-        )
-        report["techniques"][tech] = entry
-    return report

@@ -60,11 +60,8 @@ def _batch(phase):
     return [e for e, _ in phase.updates], [w for _, w in phase.updates]
 
 
-@pytest.mark.parametrize("transport", ["ring", "pipe"])
 class TestLiveSwap:
-    def test_churn_swaps_clean_on_both_transports(
-        self, registry, phases, transport
-    ):
+    def test_churn_swaps_clean(self, registry, phases):
         from repro.dynamic import DynamicState
 
         config = ServiceConfig(
@@ -72,7 +69,6 @@ class TestLiveSwap:
             tier="small",
             workers=2,
             techniques=("ch", "tnr", "labels"),
-            transport=transport,
         )
         ref = DynamicState(
             registry.graph(DATASET),
@@ -121,7 +117,7 @@ class TestLiveSwap:
                 shm = shared_memory.SharedMemory(name=e["segment"])
                 shm.close()
 
-    def test_swap_survives_worker_respawn(self, registry, phases, transport):
+    def test_swap_survives_worker_respawn(self, registry, phases):
         """A worker killed right before the flip is respawned onto the
         current manifest; the barrier still completes and answers stay
         exact."""
@@ -132,7 +128,6 @@ class TestLiveSwap:
             tier="small",
             workers=2,
             techniques=("ch",),
-            transport=transport,
         )
         ph = phases[0]
         edges, ws = _batch(ph)
@@ -183,14 +178,13 @@ def _pump_until(svc, epoch, timeout_s=60.0):
         svc.pump(0.01)
 
 
-@pytest.mark.parametrize("transport", ["ring", "pipe"])
 class TestEpochPipeline:
     """``apply_updates`` returns at once; the epoch goes live later."""
 
-    def _config(self, transport, techniques=("ch", "labels")):
+    def _config(self, techniques=("ch", "labels")):
         return ServiceConfig(
             dataset=DATASET, tier="small", workers=2,
-            techniques=techniques, transport=transport,
+            techniques=techniques,
         )
 
     def _ref(self, registry, with_labels=False):
@@ -201,7 +195,7 @@ class TestEpochPipeline:
             with_labels=with_labels,
         )
 
-    def test_old_epoch_answers_until_go_live(self, registry, phases, transport):
+    def test_old_epoch_answers_until_go_live(self, registry, phases):
         ph = phases[0]
         edges, ws = _batch(ph)
         ref = self._ref(registry)
@@ -209,7 +203,7 @@ class TestEpochPipeline:
         ref.apply_updates(edges, ws)
         after = _reference_distances(registry, ref, ph.queries)
         assert not np.array_equal(before, after)
-        with QueryService(self._config(transport), registry=registry) as svc:
+        with QueryService(self._config(), registry=registry) as svc:
             turns = _hold_repairs(svc)
             report = svc.apply_updates(edges, ws)
             assert report.epoch == 1 and not report.live and not report.failed
@@ -240,9 +234,7 @@ class TestEpochPipeline:
                 np.testing.assert_array_equal(np.asarray(fut.result()), after)
             assert svc.status()["epoch_mismatches"] == 0
 
-    def test_back_to_back_updates_go_live_in_call_order(
-        self, registry, transport
-    ):
+    def test_back_to_back_updates_go_live_in_call_order(self, registry):
         from repro.serve import attach_segments
         from repro.serve.segments import pack_ch, pack_labels
 
@@ -251,7 +243,7 @@ class TestEpochPipeline:
             queries_per_phase=2, seed=29,
         )
         ref = self._ref(registry, with_labels=True)
-        with QueryService(self._config(transport), registry=registry) as svc:
+        with QueryService(self._config(), registry=registry) as svc:
             turns = _hold_repairs(svc)
             reports = [svc.apply_updates(*_batch(ph)) for ph in churn]
             assert [r.epoch for r in reports] == [1, 2, 3]
@@ -280,7 +272,7 @@ class TestEpochPipeline:
 
     @pytest.mark.parametrize("where", ["repair", "stage"])
     def test_repair_failure_keeps_the_old_epoch(
-        self, registry, phases, transport, where, monkeypatch
+        self, registry, phases, where, monkeypatch
     ):
         from repro.serve import segments as segments_mod
 
@@ -289,7 +281,7 @@ class TestEpochPipeline:
         before = _reference_distances(
             registry, self._ref(registry), ph.queries
         )
-        with QueryService(self._config(transport), registry=registry) as svc:
+        with QueryService(self._config(), registry=registry) as svc:
             st = svc._dynamic_state()
             if where == "repair":
                 def boom(edges, weights):
@@ -327,9 +319,9 @@ class TestEpochPipeline:
             with pytest.raises(RuntimeError, match="accepts no more updates"):
                 svc.apply_updates(edges, ws)
 
-    def test_close_with_an_update_pending(self, registry, phases, transport):
+    def test_close_with_an_update_pending(self, registry, phases):
         edges, ws = _batch(phases[0])
-        svc = QueryService(self._config(transport), registry=registry)
+        svc = QueryService(self._config(), registry=registry)
         try:
             st = svc._dynamic_state()
             real = st.apply_updates
@@ -355,7 +347,7 @@ class TestEpochPipeline:
         assert _service_segments(svc) == []
         assert not any(w.process.is_alive() for w in workers)
 
-    def test_bad_batches_raise_at_the_call(self, registry, phases, transport):
+    def test_bad_batches_raise_at_the_call(self, registry, phases):
         import math
 
         graph = registry.graph(DATASET)
@@ -374,7 +366,7 @@ class TestEpochPipeline:
             ([(u, v)], [math.inf], ValueError),
             ([(u, v)], [1.0, 2.0], ValueError),
         ]
-        with QueryService(self._config(transport), registry=registry) as svc:
+        with QueryService(self._config(), registry=registry) as svc:
             for edges, ws, exc in bad:
                 with pytest.raises(exc):
                     svc.apply_updates(edges, ws)
@@ -396,7 +388,7 @@ class TestEpochPipeline:
             assert svc.wait_live() == 2 and later.live
 
     def test_repair_spans_stay_off_the_serving_threads_stack(
-        self, registry, phases, transport, tmp_path
+        self, registry, phases, tmp_path
     ):
         from repro import obs
 
@@ -406,7 +398,7 @@ class TestEpochPipeline:
         path = tmp_path / "run.jsonl"
         try:
             obs.start_trace(path)
-            with QueryService(self._config(transport), registry=registry) as svc:
+            with QueryService(self._config(), registry=registry) as svc:
                 turns = _hold_repairs(svc)
                 with obs.span("test.serving_loop"):
                     svc.apply_updates(edges, ws)

@@ -1,5 +1,8 @@
 """Integration tests for the registry, experiment runners, and CLI."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.harness.cli import main as cli_main
@@ -194,3 +197,17 @@ class TestCLI:
         assert cli_main(["cache", "stats", "--cache", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cache root" in out and "entries        0" in out
+
+
+def test_readme_env_table_lists_exactly_the_knobs_in_src():
+    """Adding or removing a ``REPRO_*`` variable must touch README's
+    environment-variable table in the same change."""
+    root = Path(__file__).resolve().parent.parent
+    in_src = {
+        name
+        for path in (root / "src").rglob("*.py")
+        for name in re.findall(r"REPRO_[A-Z0-9_]+", path.read_text("utf-8"))
+    }
+    readme = (root / "README.md").read_text("utf-8")
+    in_table = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", readme, re.M))
+    assert in_table == in_src

@@ -235,7 +235,7 @@ class TestRingScheduler:
         toward the queue bound, so the shed path stays typed."""
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=1, techniques=("ch",),
-            transport="ring", max_batch=8, ring_slots=2,
+            max_batch=8, ring_slots=2,
             max_queue=20, batch_window_s=0.0,
         )
         with QueryService(config, registry=registry) as svc:
@@ -263,7 +263,7 @@ class TestRingScheduler:
         parks in the blocked queue and drains completely."""
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=1, techniques=("ch",),
-            transport="ring", max_batch=8, ring_slots=2,
+            max_batch=8, ring_slots=2,
             max_queue=1024, batch_window_s=0.0,
         )
         with QueryService(config, registry=registry) as svc:

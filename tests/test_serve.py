@@ -53,14 +53,13 @@ def workload(registry):
     return pairs[:240]
 
 
-@pytest.fixture(scope="module", params=["ring", "pipe"])
-def service(registry, request):
+@pytest.fixture(scope="module")
+def service(registry):
     config = ServiceConfig(
         dataset=DATASET,
         tier="small",
         workers=2,
         techniques=("ch", "tnr", "silc", "labels"),
-        transport=request.param,
     )
     with QueryService(config, registry=registry) as svc:
         yield svc
@@ -293,12 +292,58 @@ class TestServiceAgreement:
         with pytest.raises(ValueError, match="unknown technique"):
             service.submit("astar", workload[:4])
 
+    @pytest.mark.parametrize("bad", [-1, "n", 2**40, 1.5])
+    def test_bad_vertex_id_rejected_at_admission(self, service, bad):
+        """Ids outside [0, n) or not integers raise at the call, for
+        every published technique, and never reach a worker."""
+        if bad == "n":
+            bad = service.manifest["fingerprint"]["n"]
+        before = service.status()
+        for technique in service.published:
+            for pair in [(bad, 5), (5, bad)]:
+                with pytest.raises(ValueError, match="vertex ids"):
+                    service.submit(technique, [(0, 1), pair])
+        service.drain()
+        after = service.status()
+        assert after["queued"] == 0 and after["inflight"] == 0
+        assert [w["batches"] for w in after["workers"]] == [
+            w["batches"] for w in before["workers"]
+        ]
+
+    def test_bad_request_does_not_poison_its_window(
+        self, service, registry, workload
+    ):
+        """A rejected request takes no request id and fails nobody
+        coalesced around it."""
+        n = service.manifest["fingerprint"]["n"]
+        first = service.submit("labels", workload[:8])
+        with pytest.raises(ValueError, match="vertex ids"):
+            service.submit("labels", [workload[8], (workload[9][0], n)])
+        second = service.submit(
+            "labels", [(np.int64(s), np.int32(t)) for s, t in workload[8:16]]
+        )
+        assert second.request_id == first.request_id + 1
+        service.drain()
+        want = np.asarray(
+            batched_distances(_inprocess(registry, "labels"), workload[:16])
+        )
+        got = np.array(first.result() + second.result())
+        assert np.array_equal(got, want)
+
+    def test_transport_is_not_selectable(self):
+        from repro.harness.cli import main
+
+        with pytest.raises(TypeError):
+            ServiceConfig(transport="pipe")
+        with pytest.raises(SystemExit) as exc:
+            main(["service", "start", "--transport", "pipe"])
+        assert exc.value.code == 2
+
     def test_status_snapshot(self, service):
         status = service.status()
         assert status["n_workers"] == 2
         assert len(status["worker_pids"]) == 2
-        assert status["transport"] in ("ring", "pipe")
-        assert status["transport"] == service.transport
+        assert status["transport"] == "ring"
         assert set(status["published"]) == {
             "ch", "dijkstra", "silc", "tnr", "labels"
         }
@@ -457,14 +502,13 @@ class TestScheduler:
 # Worker death, recovery, cleanup
 # ----------------------------------------------------------------------
 class TestRecovery:
-    @pytest.mark.parametrize("transport", ["ring", "pipe"])
     @pytest.mark.parametrize("technique", ["ch", "labels"])
     def test_worker_kill_mid_workload_recovers(
-        self, registry, workload, technique, transport
+        self, registry, workload, technique
     ):
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=2,
-            techniques=(technique,), max_batch=64, transport=transport,
+            techniques=(technique,), max_batch=64,
         )
         with QueryService(config, registry=registry) as svc:
             requests = request_stream(workload, 8)
@@ -533,7 +577,7 @@ class TestTelemetryPlane:
         obs.reset()
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=2,
-            techniques=("labels",), max_batch=8, transport="ring",
+            techniques=("labels",), max_batch=8,
         )
         with QueryService(config, registry=registry) as svc:
             obs.reset()  # drop publish-time counters: serving only
@@ -556,7 +600,7 @@ class TestTelemetryPlane:
         and obey the invariant e2e >= worker-compute stage."""
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=2,
-            techniques=("ch",), max_batch=64, transport="ring",
+            techniques=("ch",), max_batch=64,
         )
         with QueryService(config, registry=registry) as svc:
             obs.reset()
@@ -579,7 +623,7 @@ class TestTelemetryPlane:
     ):
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=2,
-            techniques=("ch",), max_batch=64, transport="ring",
+            techniques=("ch",), max_batch=64,
         )
         with QueryService(config, registry=registry) as svc:
             serve_workload(svc, "ch", request_stream(workload[:64], 8))
@@ -630,7 +674,7 @@ class TestTelemetryPlane:
 
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=2,
-            techniques=("ch",), transport="ring",
+            techniques=("ch",),
         )
         with QueryService(config, registry=registry) as svc:
             for req in request_stream(workload[:32], 8):
@@ -655,7 +699,7 @@ class TestTelemetryPlane:
     def test_sigusr1_metrics_snapshot(self, registry, tmp_path):
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=1,
-            techniques=("ch",), transport="ring",
+            techniques=("ch",),
         )
         dump = tmp_path / "metrics.prom"
         prev = signal.getsignal(signal.SIGUSR1)
@@ -675,7 +719,7 @@ class TestTelemetryPlane:
         stay in the merged snapshot after its plane is reused."""
         config = ServiceConfig(
             dataset=DATASET, tier="small", workers=1,
-            techniques=("labels",), max_batch=8, transport="ring",
+            techniques=("labels",), max_batch=8,
         )
         with QueryService(config, registry=registry) as svc:
             obs.reset()
@@ -911,158 +955,6 @@ class TestBatchedQuadtree:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="codes"):
             compress_partitions([0, 1], np.zeros((2, 3), dtype=np.int64), [0, 0])
-
-
-# ----------------------------------------------------------------------
-# serve_bench gates (pure-function unit tests + the committed report)
-# ----------------------------------------------------------------------
-def _serve_bench_module():
-    import importlib.util
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "serve_bench", os.path.join(root, "scripts", "serve_bench.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestServeBenchGates:
-    def _entry(self, **overrides):
-        entry = {
-            "qps_inprocess_batched": 30000.0,
-            "qps_single": 10000.0,
-            "qps_service_1w": 18000.0,
-            "qps_service_2w": 20000.0,
-            "speedup_2w": 2.0,
-            "bit_identical": True,
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_clean_report_passes(self):
-        sb = _serve_bench_module()
-        report = {"techniques": {
-            "ch": self._entry(),
-            "labels": self._entry(
-                qps_service_1w=22000.0, qps_service_2w=25000.0
-            ),
-        }}
-        assert sb.evaluate_gates(report) == []
-
-    def test_floor_gate_catches_slow_technique(self):
-        sb = _serve_bench_module()
-        report = {"techniques": {"silc": self._entry(speedup_2w=0.4)}}
-        failures = sb.evaluate_gates(report)
-        assert len(failures) == 1 and "below the 1.0x floor" in failures[0]
-
-    def test_tnr_floor_miss_now_gates(self):
-        """The TNR exemption is gone: a floor miss fails the bench."""
-        sb = _serve_bench_module()
-        assert sb.EXPECTED_BELOW_FLOOR == frozenset()
-        report = {"techniques": {"tnr": self._entry(speedup_2w=0.1)}}
-        failures = sb.evaluate_gates(report)
-        assert len(failures) == 1 and "below the 1.0x floor" in failures[0]
-
-    def test_scaling_floor_gate(self):
-        """2 workers may cost at most 5% of 1-worker throughput."""
-        sb = _serve_bench_module()
-        report = {"techniques": {
-            "ch": self._entry(qps_service_1w=22000.0),  # 20000 < 0.95*22000
-        }}
-        failures = sb.evaluate_gates(report)
-        assert any("the second worker costs throughput" in f
-                   for f in failures)
-
-    def test_monotonic_gate_respects_core_count(self):
-        """ch/labels must climb 1w->2w->4w, but only over worker counts
-        with real cores behind them (cpu_count in the report)."""
-        sb = _serve_bench_module()
-        entry = self._entry(qps_service_4w=19000.0)  # 4w below 2w
-        report = {"techniques": {"ch": entry}, "cpu_count": 4}
-        assert any("does not improve" in f
-                   for f in sb.evaluate_gates(report))
-        # Same numbers on a 2-core box: the 4w point has no hardware
-        # behind it, so only 1w->2w is gated (and that one climbs).
-        report = {"techniques": {"ch": dict(entry)}, "cpu_count": 2}
-        assert sb.evaluate_gates(report) == []
-        # Non-monotonic techniques (tnr) are never ladder-gated.
-        report = {"techniques": {"tnr": dict(entry)}, "cpu_count": 4}
-        assert sb.evaluate_gates(report) == []
-
-    def test_labels_must_beat_ch(self):
-        sb = _serve_bench_module()
-        report = {"techniques": {
-            "ch": self._entry(qps_service_2w=20000.0),
-            "labels": self._entry(qps_service_2w=15000.0),
-        }}
-        failures = sb.evaluate_gates(report)
-        assert any("does not beat ch" in f for f in failures)
-
-    def test_bit_identity_and_baseline_regression_gate(self):
-        sb = _serve_bench_module()
-        report = {"techniques": {"ch": self._entry(bit_identical=False)}}
-        assert any(
-            "not bit-identical" in f for f in sb.evaluate_gates(report)
-        )
-        report = {"techniques": {"ch": self._entry(speedup_2w=1.6)}}
-        baseline = {"techniques": {"ch": self._entry(speedup_2w=4.0)}}
-        assert any(
-            "below half the committed baseline" in f
-            for f in sb.evaluate_gates(report, baseline)
-        )
-
-    def test_label_size_regression_gate(self):
-        """`--check` fails when the mean hub-label size grows more than
-        10% over the committed baseline; growth within slack passes."""
-        sb = _serve_bench_module()
-        baseline = {"techniques": {
-            "labels": self._entry(
-                qps_service_2w=25000.0, label_size_mean=27.4
-            ),
-        }}
-        grown = {"techniques": {
-            "labels": self._entry(
-                qps_service_2w=25000.0, label_size_mean=31.0
-            ),
-        }}
-        failures = sb.evaluate_gates(grown, baseline)
-        assert any("label_size_mean" in f and "exceeds" in f
-                   for f in failures)
-        within = {"techniques": {
-            "labels": self._entry(
-                qps_service_2w=25000.0, label_size_mean=28.9
-            ),
-        }}
-        assert sb.evaluate_gates(within, baseline) == []
-        # Old baselines without the field are tolerated (no gate).
-        legacy = {"techniques": {
-            "labels": self._entry(qps_service_2w=25000.0),
-        }}
-        assert sb.evaluate_gates(grown, legacy) == []
-
-    def test_committed_report_passes_gates_and_labels_beat_ch(self):
-        """The acceptance criterion, pinned to the committed numbers:
-        labels beat CH per-request QPS on DE-small at 2 workers, with
-        the per-technique floor gate active."""
-        import json
-
-        sb = _serve_bench_module()
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "BENCH_serve.json")) as fh:
-            report = json.load(fh)
-        assert sb.evaluate_gates(report) == []
-        techs = report["techniques"]
-        assert techs["labels"]["qps_service_2w"] > techs["ch"]["qps_service_2w"]
-        assert techs["labels"]["speedup_2w"] >= sb.FLOOR_2W
-        assert techs["labels"]["bit_identical"] is True
-        # The committed report carries the label-size baseline the
-        # regression gate compares against.
-        assert techs["labels"]["label_size_mean"] > 0
-        assert techs["labels"]["label_size_max"] >= techs["labels"]["label_size_mean"]
-        # Self-check: the committed report gates cleanly against itself.
-        assert sb.evaluate_gates(report, report) == []
 
 
 def test_request_stream_chunks():
